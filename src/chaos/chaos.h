@@ -149,8 +149,8 @@ struct ChaosVerdict {
 ChaosSchedule make_random_schedule(std::uint64_t seed, std::size_t nodes,
                                    double duration_seconds);
 
-/// Runs `schedule` under virtual time (discrete-event engine, in-memory
-/// bus, per-node seeded FaultInjectors). Deterministic.
+/// Runs `schedule` under virtual time (discrete-event engine, the
+/// simulator's SimBus, per-node seeded FaultInjectors). Deterministic.
 ChaosVerdict run_sim_chaos(const ChaosSchedule& schedule,
                            const OracleOptions& oracle = {});
 

@@ -1,18 +1,19 @@
 // Virtual-time chaos driver: the whole scenario runs on the discrete-event
 // engine, so every run of a given schedule is bit-for-bit identical —
-// event log included. The in-memory bus mirrors the TCP group's repair
-// protocol (epoch piggyback on rejoin, periodic digest rounds with the
-// two-strike mismatch rule, kInvSync pulls, recovery resync pushes) while
+// event log included. The nodes talk over the simulator's SimBus (the one
+// the paper's tables use); this driver adds the TCP group's repair
+// protocol on top (epoch piggyback on rejoin, periodic digest rounds with
+// the two-strike mismatch rule, kInvSync pulls, recovery resync pushes),
 // charging repair traffic at real encoded-frame sizes.
 #include <memory>
-#include <unordered_set>
 
 #include "chaos/chaos.h"
 #include "chaos/internal.h"
+#include "cluster/digest_strikes.h"
 #include "cluster/message.h"
-#include "common/strings.h"
 #include "http/uri.h"
-#include "sim/engine.h"
+#include "sim/cluster_sim.h"
+#include "sim/sim_bus.h"
 
 namespace swala::chaos {
 namespace {
@@ -25,70 +26,17 @@ using detail::stamp;
 constexpr double kDeliveryDelay = 0.01;  ///< virtual propagation latency
 constexpr double kPollInterval = 0.05;   ///< staleness probe cadence
 
-struct SimState;
-
-/// In-memory CooperationBus for one node; consults the node's seeded
-/// FaultInjector for every outgoing leg, exactly like Transport::send.
-class ChaosBus final : public core::CooperationBus {
- public:
-  ChaosBus(SimState* state, NodeId self) : state_(state), self_(self) {}
-
-  void broadcast_insert(const core::EntryMeta& meta) override;
-  void broadcast_erase(NodeId owner, const std::string& key,
-                       std::uint64_t version) override;
-  void broadcast_invalidate(const std::string& pattern) override {
-    broadcast_invalidate(pattern, 0);
-  }
-  void broadcast_invalidate(const std::string& pattern,
-                            std::uint64_t epoch) override;
-  void send_owner_insert(NodeId ring_owner,
-                         const core::EntryMeta& meta) override;
-  void send_owner_erase(NodeId ring_owner, NodeId cache_node,
-                        const std::string& key,
-                        std::uint64_t version) override;
-  Result<core::EntryMeta> lookup_at_owner(NodeId ring_owner,
-                                          const std::string& key,
-                                          int budget_ms) override;
-  Result<core::CachedResult> fetch_remote(NodeId owner,
-                                          const std::string& key) override;
-  void send_handoff(NodeId successor, const core::EntryMeta& meta,
-                    const std::string& body) override;
-
- private:
-  /// Peers outside the sender's membership view get no traffic (the TCP
-  /// group drops frames to inactive slots at the sender).
-  bool peer_is_member(std::size_t peer) const;
-
-  SimState* state_;
-  NodeId self_;
-};
-
-/// Everything one sim run owns. Single-threaded: only engine callbacks
-/// touch it.
-struct SimState {
+/// Everything one sim run owns on top of the simulated cluster.
+/// Single-threaded: only engine callbacks touch it.
+struct SimState : sim::SimCluster {
   const ChaosSchedule* schedule = nullptr;
   const OracleOptions* oracle = nullptr;
-  sim::SimEngine engine;
+  sim::SimCosts costs;
   std::vector<std::unique_ptr<cluster::FaultInjector>> injectors;
-  std::vector<std::unique_ptr<ChaosBus>> buses;
-  std::vector<std::unique_ptr<CacheManager>> managers;
-  std::vector<char> alive;
-  /// Active-membership bookkeeping (harness view): nodes outside it take no
-  /// part in digest rounds and are excluded from the oracle — a joiner has
-  /// not been admitted yet, a decommissioned leaver handed its state off.
-  std::vector<char> member;
   ChaosVerdict verdict;
   detail::StalenessProbe probe;
-  std::uint64_t digest_round = 0;
-
-  /// Two-strike digest tracking per (receiver, sender), mirroring
-  /// PeerLink::{last_peer_digest, last_local_digest, mismatch_pending}.
-  struct PairTrack {
-    std::uint64_t peer_digest = 0;
-    std::uint64_t local_digest = 0;
-    bool pending = false;
-  };
-  std::vector<std::vector<PairTrack>> track;
+  /// Digest mismatch tracking per (receiver, sender).
+  std::vector<std::vector<cluster::DigestStrikes>> strikes;
 
   void log(const std::string& text) {
     verdict.log.push_back(stamp(engine.now(), text));
@@ -97,164 +45,7 @@ struct SimState {
     verdict.repair_frames += 1;
     verdict.repair_bytes += cluster::encode_message(msg).size();
   }
-  /// Send-side fault consultation for one leg: how many copies arrive
-  /// (0 = lost, 2 = duplicated), stretching *delay on kDelay.
-  int deliveries(NodeId from, NodeId to, cluster::MsgType type,
-                 double* delay) {
-    const auto fault = injectors[from]->decide(to, type);
-    switch (fault.kind) {
-      case cluster::FaultKind::kNone:
-        return 1;
-      case cluster::FaultKind::kDelay:
-        *delay += fault.delay_ms / 1000.0;
-        return 1;
-      case cluster::FaultKind::kDuplicate:
-        return 2;
-      case cluster::FaultKind::kDrop:
-      case cluster::FaultKind::kTruncate:
-      case cluster::FaultKind::kBlackhole:
-        return 0;
-    }
-    return 1;
-  }
 };
-
-bool ChaosBus::peer_is_member(std::size_t peer) const {
-  return state_->managers[self_]->is_member(static_cast<NodeId>(peer));
-}
-
-void ChaosBus::broadcast_insert(const core::EntryMeta& meta) {
-  for (std::size_t peer = 0; peer < state_->managers.size(); ++peer) {
-    if (peer == self_ || !peer_is_member(peer)) continue;
-    double delay = kDeliveryDelay;
-    const int copies = state_->deliveries(
-        self_, static_cast<NodeId>(peer), cluster::MsgType::kInsert, &delay);
-    for (int c = 0; c < copies; ++c) {
-      state_->engine.schedule_in(delay, [this, peer, meta] {
-        if (!state_->alive[peer]) return;  // lost on the floor of a crash
-        state_->managers[peer]->on_peer_insert(meta);
-      });
-    }
-  }
-}
-
-void ChaosBus::broadcast_erase(NodeId owner, const std::string& key,
-                               std::uint64_t version) {
-  for (std::size_t peer = 0; peer < state_->managers.size(); ++peer) {
-    if (peer == self_ || !peer_is_member(peer)) continue;
-    double delay = kDeliveryDelay;
-    const int copies = state_->deliveries(
-        self_, static_cast<NodeId>(peer), cluster::MsgType::kErase, &delay);
-    for (int c = 0; c < copies; ++c) {
-      state_->engine.schedule_in(delay, [this, peer, owner, key, version] {
-        if (!state_->alive[peer]) return;
-        state_->managers[peer]->on_peer_erase(owner, key, version);
-      });
-    }
-  }
-}
-
-void ChaosBus::broadcast_invalidate(const std::string& pattern,
-                                    std::uint64_t epoch) {
-  const NodeId origin = self_;
-  for (std::size_t peer = 0; peer < state_->managers.size(); ++peer) {
-    if (peer == self_ || !peer_is_member(peer)) continue;
-    double delay = kDeliveryDelay;
-    const int copies =
-        state_->deliveries(self_, static_cast<NodeId>(peer),
-                           cluster::MsgType::kInvalidate, &delay);
-    for (int c = 0; c < copies; ++c) {
-      state_->engine.schedule_in(delay, [this, peer, pattern, origin, epoch] {
-        if (!state_->alive[peer]) return;
-        state_->managers[peer]->on_peer_invalidate(pattern, origin, epoch);
-      });
-    }
-  }
-}
-
-void ChaosBus::send_owner_insert(NodeId ring_owner,
-                                 const core::EntryMeta& meta) {
-  if (ring_owner >= state_->managers.size() || ring_owner == self_) return;
-  double delay = kDeliveryDelay;
-  const int copies = state_->deliveries(
-      self_, ring_owner, cluster::MsgType::kOwnerUpdate, &delay);
-  for (int c = 0; c < copies; ++c) {
-    state_->engine.schedule_in(delay, [this, ring_owner, meta] {
-      if (!state_->alive[ring_owner]) return;
-      state_->managers[ring_owner]->on_peer_insert(meta);
-    });
-  }
-}
-
-void ChaosBus::send_owner_erase(NodeId ring_owner, NodeId cache_node,
-                                const std::string& key,
-                                std::uint64_t version) {
-  if (ring_owner >= state_->managers.size() || ring_owner == self_) return;
-  double delay = kDeliveryDelay;
-  const int copies = state_->deliveries(
-      self_, ring_owner, cluster::MsgType::kOwnerUpdate, &delay);
-  for (int c = 0; c < copies; ++c) {
-    state_->engine.schedule_in(
-        delay, [this, ring_owner, cache_node, key, version] {
-          if (!state_->alive[ring_owner]) return;
-          state_->managers[ring_owner]->on_peer_erase(cache_node, key,
-                                                      version);
-        });
-  }
-}
-
-void ChaosBus::send_handoff(NodeId successor, const core::EntryMeta& meta,
-                            const std::string& body) {
-  if (successor >= state_->managers.size() || successor == self_) return;
-  state_->verdict.handoff_frames += 1;
-  state_->verdict.handoff_bytes +=
-      cluster::encode_message(cluster::Message::insert_handoff(self_, meta,
-                                                               body))
-          .size();
-  double delay = kDeliveryDelay;
-  const int copies = state_->deliveries(self_, successor,
-                                        cluster::MsgType::kInsert, &delay);
-  for (int c = 0; c < copies; ++c) {
-    state_->engine.schedule_in(delay, [this, successor, meta, body] {
-      if (!state_->alive[successor]) return;
-      if (state_->managers[successor]->adopt_entry(meta, body)) {
-        state_->verdict.handoffs_adopted += 1;
-      }
-    });
-  }
-}
-
-Result<core::EntryMeta> ChaosBus::lookup_at_owner(NodeId ring_owner,
-                                                  const std::string& key,
-                                                  int budget_ms) {
-  (void)budget_ms;
-  if (ring_owner >= state_->managers.size()) {
-    return Status(StatusCode::kInvalidArgument, "bad ring owner");
-  }
-  double delay = 0.0;
-  if (!state_->alive[ring_owner] ||
-      state_->deliveries(self_, ring_owner, cluster::MsgType::kQuery,
-                         &delay) == 0) {
-    return Status(StatusCode::kTimeout, "chaos: owner lookup lost");
-  }
-  auto answer = state_->managers[ring_owner]->answer_query(key);
-  if (!answer) return Status(StatusCode::kNotFound, "owner knows no copy");
-  return *answer;
-}
-
-Result<core::CachedResult> ChaosBus::fetch_remote(NodeId owner,
-                                                  const std::string& key) {
-  if (owner >= state_->managers.size()) {
-    return Status(StatusCode::kInvalidArgument, "bad owner");
-  }
-  double delay = 0.0;
-  if (!state_->alive[owner] ||
-      state_->deliveries(self_, owner, cluster::MsgType::kFetchReq, &delay) ==
-          0) {
-    return Status(StatusCode::kTimeout, "chaos: fetch lost");
-  }
-  return state_->managers[owner]->serve_peer_fetch(key);
-}
 
 // ---- repair protocol (mirrors NodeGroup's anti-entropy paths) ----
 
@@ -267,9 +58,9 @@ void pull_inv_sync(SimState* state, std::size_t puller, std::size_t source) {
   const auto req = cluster::Message::inv_sync(static_cast<NodeId>(puller),
                                               p->inv_floor_vector());
   state->count_repair(req);
-  if (state->deliveries(static_cast<NodeId>(puller),
-                        static_cast<NodeId>(source),
-                        cluster::MsgType::kInvSync, &delay) == 0) {
+  if (state->buses[puller]->deliveries(static_cast<NodeId>(source),
+                                       cluster::MsgType::kInvSync,
+                                       &delay) == 0) {
     state->log("node " + std::to_string(puller) +
                ": kInvSync pull to node " + std::to_string(source) +
                " lost (fault injection)");
@@ -280,9 +71,9 @@ void pull_inv_sync(SimState* state, std::size_t puller, std::size_t source) {
   const auto resp = cluster::Message::inv_sync_resp(
       static_cast<NodeId>(source), entries, truncated);
   state->count_repair(resp);
-  if (state->deliveries(static_cast<NodeId>(source),
-                        static_cast<NodeId>(puller),
-                        cluster::MsgType::kInvSyncResp, &delay) == 0) {
+  if (state->buses[source]->deliveries(static_cast<NodeId>(puller),
+                                       cluster::MsgType::kInvSyncResp,
+                                       &delay) == 0) {
     state->log("node " + std::to_string(puller) +
                ": kInvSyncResp from node " + std::to_string(source) +
                " lost (fault injection)");
@@ -306,40 +97,19 @@ void maybe_pull(SimState* state, std::size_t receiver, std::size_t source,
   pull_inv_sync(state, receiver, source);
 }
 
-/// `from` re-announces its resident entries to `to` (the kSyncReq answer /
-/// recovery push), mode-aware like NodeGroup::push_state_to.
-void push_state(SimState* state, std::size_t from, std::size_t to) {
-  CacheManager* m = state->managers[from].get();
-  const auto mode = m->directory_mode();
-  if (mode == core::DirectoryMode::kQuery) return;
-  for (const auto& meta : m->store().resident_metas()) {
-    if (mode == core::DirectoryMode::kPartitioned &&
-        m->ring_owner_of(meta.key) != static_cast<NodeId>(to)) {
-      continue;
-    }
-    state->count_repair(
-        cluster::Message::insert(static_cast<NodeId>(from), meta));
-    state->engine.schedule_in(kDeliveryDelay, [state, to, meta] {
-      if (!state->alive[to]) return;
-      state->managers[to]->on_peer_insert(meta);
-    });
-  }
-}
-
 /// One periodic digest round: every live node sends every live peer a
 /// tailored kDigest; receivers pull on an epoch gap and resync on a
 /// two-strike digest mismatch.
 void digest_round(SimState* state) {
-  state->digest_round += 1;
   state->verdict.anti_entropy_rounds += 1;
   const bool has_digest =
       state->schedule->directory_mode != core::DirectoryMode::kQuery;
   for (std::size_t s = 0; s < state->managers.size(); ++s) {
-    if (!state->alive[s] || !state->member[s]) continue;
+    if (!state->live_member(s)) continue;
     CacheManager* sender = state->managers[s].get();
     const auto high = sender->inv_high_vector();
     for (std::size_t p = 0; p < state->managers.size(); ++p) {
-      if (p == s || !state->alive[p] || !state->member[p]) continue;
+      if (p == s || !state->live_member(p)) continue;
       std::size_t entries = 0;
       const std::uint64_t digest =
           sender->digest_for_peer(static_cast<NodeId>(p), &entries);
@@ -347,8 +117,8 @@ void digest_round(SimState* state) {
           static_cast<NodeId>(s), high, has_digest, digest);
       state->count_repair(msg);
       double delay = kDeliveryDelay;
-      if (state->deliveries(static_cast<NodeId>(s), static_cast<NodeId>(p),
-                            cluster::MsgType::kDigest, &delay) == 0) {
+      if (state->buses[s]->deliveries(static_cast<NodeId>(p),
+                                      cluster::MsgType::kDigest, &delay) == 0) {
         continue;  // this round's frame lost; the next round retries
       }
       state->engine.schedule_in(delay, [state, s, p, high, has_digest,
@@ -360,26 +130,12 @@ void digest_round(SimState* state) {
         const std::uint64_t local =
             state->managers[p]->digest_of_peer_table(static_cast<NodeId>(s),
                                                      &n);
-        auto& track = state->track[p][s];
-        if (local == digest) {
-          track.pending = false;
-          return;
-        }
-        if (track.pending && track.peer_digest == digest &&
-            track.local_digest == local) {
-          // Same mismatch two rounds running: nothing is in flight, the
-          // divergence is real. Drop the table and ask for a resync.
-          track.pending = false;
-          state->log("node " + std::to_string(p) +
-                     ": digest mismatch vs node " + std::to_string(s) +
-                     " confirmed; resyncing table");
-          state->managers[p]->on_peer_recovered(static_cast<NodeId>(s));
-          push_state(state, s, p);
-        } else {
-          track.peer_digest = digest;
-          track.local_digest = local;
-          track.pending = true;
-        }
+        if (!state->strikes[p][s].observe(digest, local)) return;
+        // Confirmed drift: drop the table and ask for a resync.
+        state->log("node " + std::to_string(p) + ": digest mismatch vs node " +
+                   std::to_string(s) + " confirmed; resyncing table");
+        state->managers[p]->on_peer_recovered(static_cast<NodeId>(s));
+        state->buses[s]->push_state_to(static_cast<NodeId>(p));
       });
     }
   }
@@ -394,11 +150,11 @@ void rejoin(SimState* state, std::size_t node) {
   state->probe.restart_at[node] = state->engine.now();
   if (!state->member[node]) return;  // outside the cluster: nothing to resync
   for (std::size_t o = 0; o < state->managers.size(); ++o) {
-    if (o == node || !state->alive[o] || !state->member[o]) continue;
+    if (o == node || !state->live_member(o)) continue;
     state->managers[o]->on_peer_recovered(static_cast<NodeId>(node));
     state->managers[node]->on_peer_recovered(static_cast<NodeId>(o));
-    push_state(state, o, node);
-    push_state(state, node, o);
+    state->buses[o]->push_state_to(static_cast<NodeId>(node));
+    state->buses[node]->push_state_to(static_cast<NodeId>(o));
     // HELLO epoch piggyback, both directions.
     maybe_pull(state, node, o, state->managers[o]->inv_high_vector());
     maybe_pull(state, o, node, state->managers[node]->inv_high_vector());
@@ -488,9 +244,8 @@ void apply_action(SimState* state, const ChaosAction& action) {
     case ActionKind::kCheck: {
       std::vector<const CacheManager*> nodes;
       for (std::size_t i = 0; i < state->managers.size(); ++i) {
-        nodes.push_back(state->alive[i] && state->member[i]
-                            ? state->managers[i].get()
-                            : nullptr);
+        nodes.push_back(state->live_member(i) ? state->managers[i].get()
+                                              : nullptr);
       }
       const auto report = core::check_cluster_consistency(nodes);
       state->log(std::string("mid-run check: ") +
@@ -508,64 +263,37 @@ void apply_action(SimState* state, const ChaosAction& action) {
                    ": join skipped (already a member)");
         break;
       }
-      // The kJoinAck responder: the first live member the kJoin fan-out
-      // reaches.
-      std::size_t responder = state->managers.size();
+      // The kJoinAck responder is the first live member the kJoin fan-out
+      // reaches; without one there is nobody to admit the joiner.
+      bool any_live_member = false;
       for (std::size_t o = 0; o < state->managers.size(); ++o) {
-        if (o != n && state->alive[o] && state->member[o]) {
-          responder = o;
-          break;
-        }
+        if (o != n && state->live_member(o)) any_live_member = true;
       }
-      if (responder == state->managers.size()) {
+      if (!any_live_member) {
         state->log("node " + std::to_string(n) +
                    ": join skipped (no live member to ack)");
         break;
       }
-      // Every live member admits the joiner (the per-peer kJoin serve path):
-      // partitioned mode forwards the remapped directory slice, replicated
-      // mode re-pushes the admitting peer's resident entries.
-      const auto mode = state->managers[n]->directory_mode();
-      for (std::size_t o = 0; o < state->managers.size(); ++o) {
-        if (o == n || !state->alive[o] || !state->member[o]) continue;
-        const auto hs =
-            state->managers[o]->member_joined(static_cast<NodeId>(n));
-        if (hs.records + hs.entries > 0) {
-          state->log("node " + std::to_string(o) + ": remapped " +
-                     std::to_string(hs.records) + " records, re-announced " +
-                     std::to_string(hs.entries) + " entries for joiner " +
-                     std::to_string(n));
-        }
-        if (mode == core::DirectoryMode::kReplicated) {
-          push_state(state, o, n);
-        }
+      for (const auto& admission : sim::join_member(state, n)) {
+        const auto& hs = admission.stats;
+        if (hs.records + hs.entries == 0) continue;
+        state->log("node " + std::to_string(admission.member) + ": remapped " +
+                   std::to_string(hs.records) + " records, re-announced " +
+                   std::to_string(hs.entries) + " entries for joiner " +
+                   std::to_string(n));
       }
-      // The joiner adopts the responder's post-admission view (kJoinAck).
-      state->member[n] = 1;
-      state->managers[n]->adopt_membership(
-          state->managers[responder]->membership_epoch(),
-          state->managers[responder]->active_members());
-      state->verdict.membership_transitions += 1;
       state->log("node " + std::to_string(n) + ": JOIN complete (epoch " +
-                 std::to_string(state->managers[n]->membership_epoch()) +
-                 ")");
+                 std::to_string(state->managers[n]->membership_epoch()) + ")");
       break;
     }
     case ActionKind::kDecommissionNode: {
-      if (!state->alive[n] || !state->member[n]) {
+      if (!state->live_member(n)) {
         state->log("node " + std::to_string(n) +
                    ": decommission skipped (not an active member)");
         break;
       }
-      state->managers[n]->begin_decommission();
-      const auto hs = state->managers[n]->handoff_state(
-          state->schedule->handoff_batch_bytes);
-      for (std::size_t o = 0; o < state->managers.size(); ++o) {
-        if (o == n || !state->alive[o] || !state->member[o]) continue;
-        state->managers[o]->member_left(static_cast<NodeId>(n));
-      }
-      state->member[n] = 0;
-      state->verdict.membership_transitions += 1;
+      const auto hs = sim::decommission_member(
+          state, n, state->schedule->handoff_batch_bytes);
       state->log("node " + std::to_string(n) + ": DECOMMISSION (handed off " +
                  std::to_string(hs.records) + " records, " +
                  std::to_string(hs.entries) + " entries)");
@@ -591,17 +319,19 @@ ChaosVerdict run_sim_chaos(const ChaosSchedule& schedule,
       if (id < n) state.member[id] = 1;
     }
   }
-  state.track.assign(n, std::vector<SimState::PairTrack>(n));
+  state.strikes.assign(n, std::vector<cluster::DigestStrikes>(n));
   state.probe.interval = schedule.anti_entropy_interval_seconds;
   state.probe.slack = schedule.slack_seconds;
   state.probe.instant = oracle.expect_instant_consistency;
   state.probe.restart_at.assign(n, -1.0);
 
+  state.costs.directory_update_delay = kDeliveryDelay;
   for (std::size_t i = 0; i < n; ++i) {
     state.injectors.push_back(std::make_unique<cluster::FaultInjector>(
         schedule.seed + i));
-    state.buses.push_back(
-        std::make_unique<ChaosBus>(&state, static_cast<NodeId>(i)));
+    state.buses.push_back(std::make_unique<sim::SimBus>(
+        &state, static_cast<NodeId>(i), &state.costs,
+        state.injectors[i].get()));
   }
   for (std::size_t i = 0; i < n; ++i) {
     core::ManagerOptions mo;
@@ -657,9 +387,8 @@ ChaosVerdict run_sim_chaos(const ChaosSchedule& schedule,
   if (oracle.check_final_consistency) {
     std::vector<const CacheManager*> nodes;
     for (std::size_t i = 0; i < n; ++i) {
-      nodes.push_back(state.alive[i] && state.member[i]
-                          ? state.managers[i].get()
-                          : nullptr);
+      nodes.push_back(state.live_member(i) ? state.managers[i].get()
+                                           : nullptr);
     }
     const auto report = core::check_cluster_consistency(nodes);
     if (!report.consistent()) {
@@ -671,6 +400,12 @@ ChaosVerdict run_sim_chaos(const ChaosSchedule& schedule,
     state.log(std::string("final check: ") +
               (report.consistent() ? "consistent" : "INCONSISTENT"));
   }
+  state.verdict.repair_frames += state.traffic.resync_frames;
+  state.verdict.repair_bytes += state.traffic.resync_bytes;
+  state.verdict.membership_transitions = state.membership_transitions;
+  state.verdict.handoff_frames = state.traffic.handoff_frames;
+  state.verdict.handoff_bytes = state.traffic.handoff_bytes;
+  state.verdict.handoffs_adopted = state.traffic.handoffs_adopted;
   for (const auto& m : state.managers) {
     const auto s = m->stats();
     state.verdict.gaps_repaired += s.inv_epoch_gaps_repaired;

@@ -288,22 +288,7 @@ void NodeGroup::check_digest(core::NodeId peer, bool has_digest,
   {
     std::lock_guard<std::mutex> lock(link->health_mutex);
     if (link->state == PeerState::kDead) return;  // rejoin machinery owns it
-    if (local == digest) {
-      link->mismatch_pending = false;
-      return;
-    }
-    if (link->mismatch_pending && link->last_peer_digest == digest &&
-        link->last_local_digest == local) {
-      // Same mismatch two rounds in a row with nothing moving on either
-      // side: this is real drift (a lost kInsert/kOwnerUpdate), not an
-      // in-flight update racing the snapshot.
-      repair = true;
-      link->mismatch_pending = false;
-    } else {
-      link->mismatch_pending = true;
-      link->last_peer_digest = digest;
-      link->last_local_digest = local;
-    }
+    repair = link->digest_strikes.observe(digest, local);
   }
   if (!repair) return;
   digest_repairs_.fetch_add(1, std::memory_order_relaxed);

@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/digest_strikes.h"
 #include "cluster/framing.h"
 #include "cluster/transport.h"
 #include "common/queue.h"
@@ -300,15 +301,8 @@ class NodeGroup final : public core::CooperationBus {
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> probes{0};
 
-    // ---- anti-entropy digest tracking (guarded by health_mutex) ----
-    /// Last mismatching digest pair (peer-advertised, locally computed).
-    /// A repair fires only after two consecutive rounds mismatch with the
-    /// SAME pair on both sides: if either side's digest moved between
-    /// rounds, updates were still in flight and the apparent drift may be
-    /// converging on its own — no resync yet.
-    std::uint64_t last_peer_digest = 0;
-    std::uint64_t last_local_digest = 0;
-    bool mismatch_pending = false;
+    /// Anti-entropy digest mismatches (guarded by health_mutex).
+    DigestStrikes digest_strikes;
   };
 
   void info_accept_loop();

@@ -6,7 +6,7 @@
 // what makes peer-failure behaviour testable without kill + sleep.
 //
 // The same FaultInjector plugs into the simulator's in-memory bus
-// (sim/cluster_sim.h), so identical fault scenarios run under virtual time.
+// (sim/sim_bus.h), so identical fault scenarios run under virtual time.
 #pragma once
 
 #include <mutex>

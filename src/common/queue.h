@@ -1,6 +1,7 @@
-// Bounded blocking MPMC queue used between acceptor and request threads and
-// inside the cluster messaging layer. Close semantics: after `close()`,
-// producers fail fast and consumers drain remaining items then see kClosed.
+// Bounded blocking MPMC queue used by the epoll reactor's job queue, the
+// thread pool and the cluster messaging layer. Close semantics: after
+// `close()`, producers fail fast and consumers drain remaining items then
+// see kClosed.
 #pragma once
 
 #include <chrono>

@@ -151,18 +151,17 @@ std::optional<EntryMeta> CacheDirectory::lookup(const std::string& key) const {
       case LockingMode::kPerEntry: {
         // Structural lock to locate the slot, then the entry's own mutex to
         // read it — two acquisitions per visited table, which is exactly the
-        // overhead the paper rejects this mode for.
-        const EntrySlot* slot = nullptr;
-        {
-          std::shared_lock lock(table.mutex);
-          lock_count_.fetch_add(1, std::memory_order_relaxed);
-          const auto it = table.entries.find(key);
-          if (it != table.entries.end()) slot = it->second.get();
-        }
-        if (slot == nullptr) return std::nullopt;
-        std::lock_guard<std::mutex> entry_lock(slot->entry_mutex);
+        // overhead the paper rejects this mode for. The structural lock is
+        // held across the read: writers replace or erase slots under it
+        // exclusively, so releasing it first would let one free the slot.
+        std::shared_lock lock(table.mutex);
         lock_count_.fetch_add(1, std::memory_order_relaxed);
-        if (!slot->meta.expired(now)) return slot->meta;
+        const auto it = table.entries.find(key);
+        if (it == table.entries.end()) return std::nullopt;
+        const EntrySlot& slot = *it->second;
+        std::lock_guard<std::mutex> entry_lock(slot.entry_mutex);
+        lock_count_.fetch_add(1, std::memory_order_relaxed);
+        if (!slot.meta.expired(now)) return slot.meta;
         return std::nullopt;
       }
       case LockingMode::kMultiGranularity:

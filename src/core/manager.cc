@@ -293,10 +293,12 @@ bool CacheManager::announce_erase(const std::string& key,
 
 LookupResult CacheManager::finish_miss(LookupResult out, const std::string& key,
                                        const Deadline* deadline) {
-  // Plain lookups keep the legacy contract: every miss executes, and
-  // callers are not required to call complete()/fail() (the simulator and
-  // several tests rely on that). Single-flight only engages when the
-  // caller opted into the deadline-aware path.
+  // The plain lookup is the paper's Figure-2 flow without coalescing: every
+  // miss executes, and the caller need not call complete()/fail(). The
+  // simulator and the chaos harness need exactly that: they complete a
+  // miss later in virtual time on the engine's one thread, where a blocking
+  // single-flight waiter would stall the engine. Single-flight only engages
+  // on the deadline-aware path.
   if (deadline == nullptr) return out;
 
   std::shared_ptr<InFlight> flight;

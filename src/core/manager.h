@@ -329,7 +329,9 @@ class CacheManager {
   // ---- Request-thread API (Figure 2) ----
 
   /// Classifies and, on a hit, fetches. A false hit (remote copy vanished)
-  /// comes back as kMissMustExecute after cleaning the directory.
+  /// comes back as kMissMustExecute after cleaning the directory. Misses
+  /// are not coalesced, so a caller that completes misses later on one
+  /// thread (the simulator, the chaos harness) never blocks.
   LookupResult lookup(http::Method method, const http::Uri& uri);
 
   /// Deadline-aware lookup with single-flight miss coalescing: concurrent
@@ -611,8 +613,9 @@ class CacheManager {
     std::string reason;
   };
 
-  /// Shared body of the two lookup overloads; `deadline` null = the legacy
-  /// path (no single-flight, no negative cache, uncapped remote fetch).
+  /// Shared body of the two lookup overloads; `deadline` null = the plain
+  /// Figure-2 flow (no single-flight, no negative cache, uncapped remote
+  /// fetch) that single-threaded virtual-time drivers rely on.
   LookupResult lookup_impl(http::Method method, const http::Uri& uri,
                            const Deadline* deadline);
 

@@ -305,8 +305,6 @@ Result<std::unique_ptr<SwalaNode>> SwalaNode::from_config(
   // timeout); 0 disables. Covers parse → lookup → fetch → CGI → write.
   so.request_timeout_ms =
       static_cast<int>(config.get_int("server", "request_timeout_ms", 30000));
-  so.dispatch_queue_depth = static_cast<std::size_t>(
-      config.get_int("server", "dispatch_queue_depth", 1024));
   so.max_concurrent_cgi = static_cast<std::size_t>(
       config.get_int("server", "max_concurrent_cgi", 0));
   so.drain_timeout_ms =

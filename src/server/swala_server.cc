@@ -73,20 +73,11 @@ Status SwalaServer::start() {
     return Status::ok();
   }
   threads_.reserve(options_.request_threads);
-  if (options_.accept_model == AcceptModel::kTakeTurns) {
-    for (std::size_t i = 0; i < options_.request_threads; ++i) {
-      threads_.emplace_back([this] { request_thread_loop(); });
-    }
-    if (options_.max_connections > 0) {
-      shedder_ = std::thread([this] { shed_loop(); });
-    }
-  } else {
-    conn_queue_ = std::make_unique<BoundedQueue<net::TcpStream>>(
-        options_.dispatch_queue_depth);
-    for (std::size_t i = 0; i < options_.request_threads; ++i) {
-      threads_.emplace_back([this] { queue_worker_loop(); });
-    }
-    acceptor_ = std::thread([this] { acceptor_loop(); });
+  for (std::size_t i = 0; i < options_.request_threads; ++i) {
+    threads_.emplace_back([this] { request_thread_loop(); });
+  }
+  if (options_.max_connections > 0) {
+    shedder_ = std::thread([this] { shed_loop(); });
   }
   SWALA_LOG(Info) << "SwalaServer listening on port " << port() << " with "
                   << options_.request_threads << " request threads";
@@ -103,14 +94,11 @@ void SwalaServer::stop() {
     reactor_.reset();
   }
   listener_.close();
-  if (conn_queue_ != nullptr) conn_queue_->close();
-  if (acceptor_.joinable()) acceptor_.join();
   if (shedder_.joinable()) shedder_.join();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-  conn_queue_.reset();
 }
 
 bool SwalaServer::drain() {
@@ -235,36 +223,6 @@ void SwalaServer::shed_loop() {
       stream = std::move(conn.value());
     }
     shed_connection(std::move(stream));
-  }
-}
-
-void SwalaServer::acceptor_loop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    auto conn = listener_.accept(/*timeout_ms=*/200);
-    if (!conn) {
-      if (conn.status().code() == StatusCode::kTimeout) continue;
-      break;
-    }
-    net::TcpStream stream = std::move(conn.value());
-    if (should_shed()) {
-      shed_connection(std::move(stream));
-      continue;
-    }
-    // Never block the acceptor on a full queue: a stalled worker pool must
-    // show up as fast 503s at the edge, not as silent backlog growth.
-    // (The acceptor is the only producer, so size() < depth means the push
-    // below cannot block.)
-    if (conn_queue_->size() >= options_.dispatch_queue_depth) {
-      shed_connection(std::move(stream));
-      continue;
-    }
-    if (!conn_queue_->push(std::move(stream))) break;  // shutting down
-  }
-}
-
-void SwalaServer::queue_worker_loop() {
-  while (auto stream = conn_queue_->pop()) {
-    handle_connection(std::move(*stream), ctx_);
   }
 }
 

@@ -8,22 +8,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/queue.h"
 #include "server/context.h"
 
 namespace swala::server {
 
 class EpollReactor;
-
-/// How connections reach the request threads (§4.1 design choice).
-enum class AcceptModel {
-  /// The paper's model: request threads take turns in accept() under a
-  /// mutex; the accepting thread then owns the connection end-to-end.
-  kTakeTurns,
-  /// The alternative: a dedicated acceptor thread pushes connections onto
-  /// a bounded queue the request threads pop from.
-  kAcceptorQueue,
-};
 
 /// Connection-path I/O model (`server.io_model` in swala.conf).
 enum class IoModel {
@@ -40,7 +29,6 @@ enum class IoModel {
 struct SwalaServerOptions {
   net::InetAddress listen{"127.0.0.1", 0};
   std::size_t request_threads = 16;
-  AcceptModel accept_model = AcceptModel::kTakeTurns;
   /// threads: one thread per connection (the paper's §4.1 model).
   /// epoll: event-driven reactor; request_threads sizes the worker pool
   /// that runs handlers (CGI, cache, disk), not the connection count.
@@ -73,9 +61,6 @@ struct SwalaServerOptions {
   int retry_after_seconds = 1;
   /// Per-request deadline covering parse through response write; 0 = none.
   int request_timeout_ms = 0;
-  /// Capacity of the acceptor→worker queue (kAcceptorQueue model). A full
-  /// queue sheds, it never blocks the acceptor.
-  std::size_t dispatch_queue_depth = 1024;
   /// Caps concurrent CGI executions; 0 = unlimited. Queue-wait counts
   /// against the request deadline.
   std::size_t max_concurrent_cgi = 0;
@@ -142,8 +127,6 @@ class SwalaServer {
 
  private:
   void request_thread_loop();
-  void acceptor_loop();
-  void queue_worker_loop();
   void shed_loop();
 
   /// Admission decision with hysteresis (see shed_resume_percent).
@@ -166,15 +149,13 @@ class SwalaServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> shedding_{false};  ///< hysteresis state
   std::vector<std::thread> threads_;
-  std::thread acceptor_;  ///< kAcceptorQueue only
-  /// kTakeTurns only: when every request thread is tied up in a long
+  /// Threads model only: when every request thread is tied up in a long
   /// keep-alive connection, nobody sits in accept() and overflow arrivals
   /// would wait out the backlog in silence. This thread accepts and sheds
   /// them with a fast 503 while the admission gate is closed.
   std::thread shedder_;
-  std::unique_ptr<BoundedQueue<net::TcpStream>> conn_queue_;
   /// io_model = epoll: the event-driven connection path. Owns the loop and
-  /// worker threads; threads_/shedder_/acceptor_ stay empty.
+  /// worker threads; threads_/shedder_ stay empty.
   std::unique_ptr<EpollReactor> reactor_;
 };
 

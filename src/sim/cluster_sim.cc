@@ -1,337 +1,15 @@
 #include "sim/cluster_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
-#include "cluster/message.h"
 #include "http/uri.h"
+#include "sim/sim_bus.h"
 
 namespace swala::sim {
 namespace {
-
-/// Directory traffic shared by every node's bus (one per cluster). Frames
-/// and bytes are counted at send time, fault-injected legs included —
-/// traffic offered to the network, as a packet capture would see it.
-struct SimTraffic {
-  std::uint64_t update_frames = 0;
-  std::uint64_t update_bytes = 0;
-  std::uint64_t query_frames = 0;
-  std::uint64_t query_bytes = 0;
-  // Membership-churn accounting (see SimReport).
-  std::uint64_t transition_frames = 0;
-  std::uint64_t transition_bytes = 0;
-  std::uint64_t handoff_frames = 0;
-  std::uint64_t handoff_bytes = 0;
-  std::uint64_t handoffs_adopted = 0;
-  /// While set, update legs count as transition traffic instead of regular
-  /// directory updates (the driver raises it around member_joined /
-  /// member_left / handoff_state, whose forwarding rides the same bus).
-  bool in_transition = false;
-};
-
-/// CooperationBus over the event engine: broadcasts arrive after a
-/// propagation delay; remote fetches read the owner's store immediately
-/// (the latency is charged to the request's timeline by the node model).
-class SimBus final : public core::CooperationBus {
- public:
-  SimBus(SimEngine* engine, core::NodeId self, const SimCosts* costs,
-         cluster::FaultInjector* faults, SimTraffic* traffic)
-      : engine_(engine),
-        self_(self),
-        costs_(costs),
-        faults_(faults),
-        traffic_(traffic) {}
-
-  void wire(std::vector<std::unique_ptr<core::CacheManager>>* managers) {
-    managers_ = managers;
-  }
-
-  /// Virtual latency accrued by synchronous directory probes during the
-  /// current lookup; issue_next consumes it and charges it to the request's
-  /// timeline (the probes themselves read peer state instantaneously).
-  double take_pending_latency() {
-    const double lat = pending_latency_;
-    pending_latency_ = 0.0;
-    return lat;
-  }
-
-  void broadcast_insert(const core::EntryMeta& meta) override {
-    count_update_legs(cluster::Message::insert(self_, meta), member_legs());
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      double delay = costs_->directory_update_delay;
-      if (!broadcast_survives(peer, cluster::MsgType::kInsert, &delay)) continue;
-      engine_->schedule_in(delay, [this, peer, meta] {
-        (*managers_)[peer]->on_peer_insert(meta);
-      });
-    }
-  }
-
-  void broadcast_erase(core::NodeId owner, const std::string& key,
-                       std::uint64_t version) override {
-    count_update_legs(cluster::Message::erase(self_, key, version),
-                      member_legs());
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      double delay = costs_->directory_update_delay;
-      if (!broadcast_survives(peer, cluster::MsgType::kErase, &delay)) continue;
-      engine_->schedule_in(delay, [this, peer, owner, key, version] {
-        (*managers_)[peer]->on_peer_erase(owner, key, version);
-      });
-    }
-  }
-
-  void broadcast_invalidate(const std::string& pattern) override {
-    broadcast_invalidate(pattern, 0);
-  }
-
-  void broadcast_invalidate(const std::string& pattern,
-                            std::uint64_t epoch) override {
-    count_update_legs(cluster::Message::invalidate(self_, pattern, epoch),
-                      member_legs());
-    const core::NodeId origin = self_;
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      double delay = costs_->directory_update_delay;
-      const int deliveries =
-          broadcast_deliveries(peer, cluster::MsgType::kInvalidate, &delay);
-      for (int copy = 0; copy < deliveries; ++copy) {
-        engine_->schedule_in(delay, [this, peer, pattern, origin, epoch] {
-          (*managers_)[peer]->on_peer_invalidate(pattern, origin, epoch);
-        });
-      }
-    }
-  }
-
-  void send_owner_insert(core::NodeId ring_owner,
-                         const core::EntryMeta& meta) override {
-    if (ring_owner >= managers_->size() || ring_owner == self_) return;
-    count_update_legs(cluster::Message::owner_insert(self_, meta), 1);
-    double delay = costs_->directory_update_delay;
-    if (!broadcast_survives(ring_owner, cluster::MsgType::kOwnerUpdate,
-                            &delay)) {
-      return;
-    }
-    engine_->schedule_in(delay, [this, ring_owner, meta] {
-      (*managers_)[ring_owner]->on_peer_insert(meta);
-    });
-  }
-
-  void send_owner_erase(core::NodeId ring_owner, core::NodeId cache_node,
-                        const std::string& key,
-                        std::uint64_t version) override {
-    if (ring_owner >= managers_->size() || ring_owner == self_) return;
-    count_update_legs(
-        cluster::Message::owner_erase(self_, cache_node, key, version), 1);
-    double delay = costs_->directory_update_delay;
-    if (!broadcast_survives(ring_owner, cluster::MsgType::kOwnerUpdate,
-                            &delay)) {
-      return;
-    }
-    engine_->schedule_in(delay, [this, ring_owner, cache_node, key, version] {
-      (*managers_)[ring_owner]->on_peer_erase(cache_node, key, version);
-    });
-  }
-
-  Result<core::EntryMeta> lookup_at_owner(core::NodeId ring_owner,
-                                          const std::string& key,
-                                          int budget_ms) override {
-    (void)budget_ms;  // virtual time: the probe either answers or faults
-    if (ring_owner >= managers_->size()) {
-      return Status(StatusCode::kInvalidArgument, "bad ring owner");
-    }
-    pending_latency_ += costs_->query_latency;
-    auto answer = probe(ring_owner, key);
-    if (!answer.first) {
-      return Status(StatusCode::kTimeout,
-                    "simulated owner-lookup timeout (fault injection)");
-    }
-    if (!answer.second) {
-      return Status(StatusCode::kNotFound, "owner knows of no cached copy");
-    }
-    return *answer.second;
-  }
-
-  Result<core::EntryMeta> query_peers(const std::string& key,
-                                      int budget_ms) override {
-    (void)budget_ms;
-    // One multicast round: every peer is probed "in parallel", so the
-    // request pays query_latency once; frames are counted per probed peer
-    // (the sweep stops early on the first hit, as the TCP group does).
-    pending_latency_ += costs_->query_latency;
-    bool every_peer_answered = true;
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      auto answer = probe(static_cast<core::NodeId>(peer), key);
-      if (!answer.first) {
-        every_peer_answered = false;
-        continue;
-      }
-      if (answer.second) return *answer.second;
-    }
-    if (every_peer_answered) {
-      return Status(StatusCode::kNotFound, "no peer caches this key");
-    }
-    return Status(StatusCode::kTimeout,
-                  "query budget exhausted without a hit");
-  }
-
-  Result<core::CachedResult> fetch_remote(core::NodeId owner,
-                                          const std::string& key) override {
-    if (owner >= managers_->size()) {
-      return Status(StatusCode::kInvalidArgument, "bad owner");
-    }
-    if (faults_ != nullptr) {
-      const auto fault = faults_->decide(owner, cluster::MsgType::kFetchReq);
-      switch (fault.kind) {
-        case cluster::FaultKind::kNone:
-        case cluster::FaultKind::kDelay:  // latency is the node model's job
-        case cluster::FaultKind::kDuplicate:  // request/response: no-op
-          break;
-        case cluster::FaultKind::kDrop:
-        case cluster::FaultKind::kTruncate:
-        case cluster::FaultKind::kBlackhole:
-          // The request (or its response) never arrives; the requester's
-          // deadline expires and the manager falls back to local execution.
-          return Status(StatusCode::kTimeout,
-                        "simulated fetch deadline (fault injection)");
-      }
-    }
-    return (*managers_)[owner]->serve_peer_fetch(key);
-  }
-
-  void send_handoff(core::NodeId successor, const core::EntryMeta& meta,
-                    const std::string& body) override {
-    if (successor >= managers_->size() || successor == self_) return;
-    if (traffic_ != nullptr) {
-      traffic_->handoff_frames += 1;
-      traffic_->handoff_bytes +=
-          cluster::encode_message(
-              cluster::Message::insert_handoff(self_, meta, body))
-              .size();
-    }
-    double delay = costs_->directory_update_delay;
-    if (!broadcast_survives(successor, cluster::MsgType::kInsert, &delay)) {
-      return;  // a lost handoff costs one future re-execution, not data
-    }
-    engine_->schedule_in(delay, [this, successor, meta, body] {
-      if ((*managers_)[successor]->adopt_entry(meta, body) &&
-          traffic_ != nullptr) {
-        traffic_->handoffs_adopted += 1;
-      }
-    });
-  }
-
- private:
-  /// Peers outside the sender's membership view get no traffic (the TCP
-  /// group drops frames to inactive slots at the sender).
-  bool peer_is_member(std::size_t peer) const {
-    return (*managers_)[self_]->is_member(static_cast<core::NodeId>(peer));
-  }
-
-  /// Broadcast fan-out under the current membership view.
-  std::size_t member_legs() const {
-    std::size_t legs = 0;
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer != self_ && peer_is_member(peer)) ++legs;
-    }
-    return legs;
-  }
-
-  /// Counts `legs` copies of an update frame as offered directory traffic
-  /// (or as membership-transition traffic while the driver migrates state).
-  void count_update_legs(const cluster::Message& msg, std::size_t legs) {
-    if (traffic_ == nullptr || legs == 0) return;
-    const std::size_t bytes = cluster::encode_message(msg).size();
-    if (traffic_->in_transition) {
-      traffic_->transition_frames += legs;
-      traffic_->transition_bytes += legs * bytes;
-    } else {
-      traffic_->update_frames += legs;
-      traffic_->update_bytes += legs * bytes;
-    }
-  }
-
-  /// One kQuery/kQueryHit exchange against `peer`'s directory. Returns
-  /// {answered, hit}: `answered` is false when fault injection eats the
-  /// request or the response (the requester times out); `hit` carries the
-  /// peer's directory answer. Traffic counts the request frame always and
-  /// the response frame only when one comes back.
-  std::pair<bool, std::optional<core::EntryMeta>> probe(
-      core::NodeId peer, const std::string& key) {
-    if (traffic_ != nullptr) {
-      traffic_->query_frames += 1;
-      traffic_->query_bytes +=
-          cluster::encode_message(cluster::Message::query(self_, key)).size();
-    }
-    if (faults_ != nullptr) {
-      const auto fault = faults_->decide(peer, cluster::MsgType::kQuery);
-      switch (fault.kind) {
-        case cluster::FaultKind::kNone:
-        case cluster::FaultKind::kDuplicate:  // request/response: no-op
-          break;
-        case cluster::FaultKind::kDelay:
-          pending_latency_ += fault.delay_ms / 1000.0;
-          break;
-        case cluster::FaultKind::kDrop:
-        case cluster::FaultKind::kTruncate:
-        case cluster::FaultKind::kBlackhole:
-          return {false, std::nullopt};
-      }
-    }
-    auto answer = (*managers_)[peer]->answer_query(key);
-    if (traffic_ != nullptr) {
-      const cluster::Message resp =
-          answer ? cluster::Message::query_hit(peer, *answer)
-                 : cluster::Message::query_miss(peer);
-      traffic_->query_frames += 1;
-      traffic_->query_bytes += cluster::encode_message(resp).size();
-    }
-    return {true, std::move(answer)};
-  }
-
-  /// Consults the injector for one simulated broadcast leg. Returns how
-  /// many copies arrive: 0 when the update is lost (drop/truncate/
-  /// blackhole), 2 for a kDuplicate replay, 1 otherwise; kDelay stretches
-  /// the propagation latency instead.
-  int broadcast_deliveries(std::size_t peer, cluster::MsgType type,
-                           double* delay) {
-    if (faults_ == nullptr) return 1;
-    const auto fault =
-        faults_->decide(static_cast<core::NodeId>(peer), type);
-    switch (fault.kind) {
-      case cluster::FaultKind::kNone:
-        return 1;
-      case cluster::FaultKind::kDelay:
-        *delay += fault.delay_ms / 1000.0;
-        return 1;
-      case cluster::FaultKind::kDrop:
-      case cluster::FaultKind::kTruncate:
-      case cluster::FaultKind::kBlackhole:
-        return 0;
-      case cluster::FaultKind::kDuplicate:
-        return 2;
-    }
-    return 1;
-  }
-
-  bool broadcast_survives(std::size_t peer, cluster::MsgType type,
-                          double* delay) {
-    return broadcast_deliveries(peer, type, delay) > 0;
-  }
-
-  SimEngine* engine_;
-  core::NodeId self_;
-  const SimCosts* costs_;
-  cluster::FaultInjector* faults_;
-  SimTraffic* traffic_;
-  std::vector<std::unique_ptr<core::CacheManager>>* managers_ = nullptr;
-  double pending_latency_ = 0.0;
-};
 
 /// Per-node working-set tracker for the optional memory model.
 struct NodeMemory {
@@ -351,11 +29,7 @@ struct NodeMemory {
   }
 };
 
-struct SimState {
-  SimEngine engine;
-  SimTraffic traffic;
-  std::vector<std::unique_ptr<SimBus>> buses;
-  std::vector<std::unique_ptr<core::CacheManager>> managers;
+struct SimState : SimCluster {
   std::vector<std::unique_ptr<FcfsResource>> cpus;
   std::vector<NodeMemory> memory;
 
@@ -373,10 +47,8 @@ struct SimState {
 
   // ---- membership churn (see SimConfig::join_node et al.) ----
   static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-  std::vector<char> member;  ///< harness view of the active set
   std::size_t join_threshold = kNever;          ///< completed-count trigger
   std::size_t decommission_threshold = kNever;  ///< completed-count trigger
-  std::uint64_t membership_transitions = 0;
   std::vector<std::string> decommissioned_keys;
 };
 
@@ -391,68 +63,23 @@ void close_transition_windows(SimState* st) {
   }
 }
 
-/// Join under load: every member admits the joiner — partitioned mode
-/// forwards only the remapped directory slice via the bus, replicated mode
-/// seeds the joiner with a full directory push — then the joiner adopts the
-/// cluster view (the kJoinAck step).
+/// Join under load (see join_member); the dual-read windows close once
+/// the migration traffic has settled.
 void do_join(SimState* st) {
-  const core::NodeId j = st->config->join_node;
-  core::NodeId responder = core::kInvalidNode;
-  st->traffic.in_transition = true;
-  for (std::size_t o = 0; o < st->managers.size(); ++o) {
-    if (o == j || !st->member[o]) continue;
-    if (responder == core::kInvalidNode) {
-      responder = static_cast<core::NodeId>(o);
-    }
-    st->managers[o]->member_joined(j);
-    if (st->config->directory_mode == core::DirectoryMode::kReplicated) {
-      for (const auto& meta : st->managers[o]->store().resident_metas()) {
-        st->traffic.transition_frames += 1;
-        st->traffic.transition_bytes +=
-            cluster::encode_message(
-                cluster::Message::insert(static_cast<core::NodeId>(o), meta))
-                .size();
-        st->engine.schedule_in(st->config->costs.directory_update_delay,
-                               [st, j, meta] {
-                                 st->managers[j]->on_peer_insert(meta);
-                               });
-      }
-    }
-  }
-  st->member[j] = 1;
-  if (responder != core::kInvalidNode) {
-    // kJoinAck: the joiner adopts the cluster view and re-announces its
-    // stand-alone residents (counted as transition traffic).
-    st->managers[j]->adopt_membership(
-        st->managers[responder]->membership_epoch(),
-        st->managers[responder]->active_members());
-  }
-  st->traffic.in_transition = false;
-  st->membership_transitions += 1;
+  join_member(st, st->config->join_node);
   st->engine.schedule_in(0.5, [st] { close_transition_windows(st); });
 }
 
-/// Graceful decommission under load: the leaver stops admitting entries,
-/// ships its cached state to ring successors over the handoff channel,
-/// peers drop it without quarantine, and its client streams repin to the
-/// next active member (the load balancer stops routing to it).
+/// Graceful decommission under load (see decommission_member); the
+/// leaver's client streams then repin to the next active member (the load
+/// balancer stops routing to it).
 void do_decommission(SimState* st) {
   const core::NodeId d = st->config->decommission_node;
-  core::CacheManager* leaver = st->managers[d].get();
-  for (const auto& meta : leaver->store().resident_metas()) {
+  for (const auto& meta : st->managers[d]->store().resident_metas()) {
     st->decommissioned_keys.push_back(meta.key);
   }
   std::sort(st->decommissioned_keys.begin(), st->decommissioned_keys.end());
-  leaver->begin_decommission();
-  st->traffic.in_transition = true;
-  leaver->handoff_state(st->config->handoff_batch_bytes);
-  for (std::size_t o = 0; o < st->managers.size(); ++o) {
-    if (o == d || !st->member[o]) continue;
-    st->managers[o]->member_left(d);
-  }
-  st->traffic.in_transition = false;
-  st->member[d] = 0;
-  st->membership_transitions += 1;
+  decommission_member(st, d, st->config->handoff_batch_bytes);
   std::size_t next = d;
   for (std::size_t step = 1; step <= st->managers.size(); ++step) {
     const std::size_t cand = (d + step) % st->managers.size();
@@ -604,6 +231,7 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
   // Membership churn setup: stage the joiner outside the active set and
   // convert the trigger fractions into completed-request thresholds.
   st.member.assign(n, 1);
+  st.alive.assign(n, 1);
   const bool churn_capable = config.caching && config.cooperative && n > 1;
   const auto trigger_at = [&trace](double fraction) {
     const auto at =
@@ -632,8 +260,8 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
     const std::size_t dir_nodes = config.cooperative ? n : 1;
     for (std::size_t i = 0; i < n; ++i) {
       st.buses.push_back(std::make_unique<SimBus>(
-          &st.engine, static_cast<core::NodeId>(config.cooperative ? i : 0),
-          &config.costs, config.faults, &st.traffic));
+          &st, static_cast<core::NodeId>(config.cooperative ? i : 0),
+          &config.costs, config.faults));
     }
     for (std::size_t i = 0; i < n; ++i) {
       core::ManagerOptions mo;
@@ -653,9 +281,6 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
           static_cast<core::NodeId>(config.cooperative ? i : 0), dir_nodes,
           std::move(mo), st.engine.clock(),
           config.cooperative ? st.buses[i].get() : nullptr));
-    }
-    if (config.cooperative) {
-      for (auto& bus : st.buses) bus->wire(&st.managers);
     }
   }
 
@@ -721,8 +346,11 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
   report.handoff_frames = st.traffic.handoff_frames;
   report.handoff_bytes = st.traffic.handoff_bytes;
   report.handoffs_adopted = st.traffic.handoffs_adopted;
-  report.transition_frames = st.traffic.transition_frames;
-  report.transition_bytes = st.traffic.transition_bytes;
+  // The only resync pushes here are the joiner's seeding.
+  report.transition_frames =
+      st.traffic.transition_frames + st.traffic.resync_frames;
+  report.transition_bytes =
+      st.traffic.transition_bytes + st.traffic.resync_bytes;
   report.decommissioned_keys = std::move(st.decommissioned_keys);
   if (st.membership_transitions > 0) {
     std::vector<const core::CacheManager*> nodes;

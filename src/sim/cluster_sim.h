@@ -76,8 +76,9 @@ struct SimConfig {
   /// drop/truncate/blackhole on a broadcast loses the directory update;
   /// any of those on a FETCH_REQ fails the fetch (→ local fallback, counted
   /// in fallback_executions); kDelay adds delay_ms of virtual latency to a
-  /// broadcast's propagation. Same rules, same seed → same scenario as the
-  /// wire transport, but under virtual time.
+  /// broadcast's propagation; kDuplicate delivers a one-way frame twice.
+  /// Same rules, same seed → same scenario as the wire transport, but
+  /// under virtual time.
   cluster::FaultInjector* faults = nullptr;
 
   // ---- membership churn under load (cooperative mode only) ----

@@ -224,6 +224,61 @@ TEST(ChaosSimTest, ChurnUnderDuplicateStormAdoptsEachEntryOnce) {
   EXPECT_LE(verdict.handoffs_adopted, verdict.handoff_frames);
 }
 
+// The drop-storm and churn stories under every directory mode: the repair
+// layer, the join seeding and the decommission handoff must hold whether
+// directory state is replicated, partitioned by ring owner, or not kept at
+// all (query mode probes peers on every miss).
+class ChaosModeTest : public ::testing::TestWithParam<core::DirectoryMode> {};
+
+TEST_P(ChaosModeTest, DropStormRepairedWithinOneAntiEntropyRound) {
+  ChaosSchedule s = drop_storm_schedule(1.0);
+  s.directory_mode = GetParam();
+  const ChaosVerdict verdict = run_sim_chaos(s);
+  EXPECT_TRUE(verdict.passed) << verdict.log_text();
+  EXPECT_GE(verdict.gaps_repaired, 1u) << verdict.log_text();
+  for (const auto& w : verdict.staleness_windows) {
+    EXPECT_FALSE(w.violation) << w.key;
+  }
+}
+
+TEST_P(ChaosModeTest, MembershipChurnJoinThenDecommissionStaysConsistent) {
+  ChaosSchedule s = churn_schedule();
+  s.directory_mode = GetParam();
+  const ChaosVerdict verdict = run_sim_chaos(s);
+  EXPECT_TRUE(verdict.passed) << verdict.log_text();
+  EXPECT_EQ(verdict.membership_transitions, 2u);
+  EXPECT_GE(verdict.handoff_frames, 1u) << verdict.log_text();
+  EXPECT_GE(verdict.handoffs_adopted, 1u) << verdict.log_text();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, ChaosModeTest,
+    ::testing::Values(core::DirectoryMode::kReplicated,
+                      core::DirectoryMode::kPartitioned,
+                      core::DirectoryMode::kQuery),
+    [](const ::testing::TestParamInfo<core::DirectoryMode>& param) {
+      return std::string(core::directory_mode_name(param.param));
+    });
+
+TEST(ChaosSimTest, QueryModeMissProbesPeers) {
+  // Query mode keeps no directory: a miss must ask the peers, so a second
+  // node requesting a key node 0 already caches finds it remotely and does
+  // not execute (and cache) it again.
+  ChaosSchedule s;
+  s.nodes = 3;
+  s.seed = 5;
+  s.duration_seconds = 2.0;
+  s.directory_mode = core::DirectoryMode::kQuery;
+  s.actions.push_back(at(0.1, ActionKind::kInsert, 0, "/cgi-bin/q/a"));
+  s.actions.push_back(at(0.5, ActionKind::kInsert, 1, "/cgi-bin/q/a"));
+  const ChaosVerdict verdict = run_sim_chaos(s);
+  EXPECT_TRUE(verdict.passed) << verdict.log_text();
+  EXPECT_NE(verdict.log_text().find(
+                "node 1: insert \"/cgi-bin/q/a\" skipped (already cached)"),
+            std::string::npos)
+      << verdict.log_text();
+}
+
 TEST(ChaosLiveTest, ScriptedRunOverRealTcpPasses) {
   // Short wall-clock smoke over loopback TCP: inserts, a kInvalidate drop
   // storm against one peer, an invalidation, repair via the real kDigest/

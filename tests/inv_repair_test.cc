@@ -1,13 +1,15 @@
 // Tests for the anti-entropy consistency-repair layer's building blocks:
 // the epoch-stamped InvalidationLog, the kHello/kInvalidate epoch tails and
 // the kDigest/kInvSync/kInvSyncResp wire messages (including legacy byte
-// compatibility), and the CacheManager repair API (replay idempotency,
-// gap pull/apply, truncation fallback, directory digests).
+// compatibility), the CacheManager repair API (replay idempotency,
+// gap pull/apply, truncation fallback, directory digests), and the
+// two-strike digest mismatch rule.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "cluster/digest_strikes.h"
 #include "cluster/message.h"
 #include "common/clock.h"
 #include "core/inv_log.h"
@@ -388,6 +390,36 @@ TEST(ManagerDigestTest, DigestExposesLostInsertAndErase) {
   b.on_peer_recovered(0);
   for (const auto& meta : a.store().resident_metas()) b.on_peer_insert(meta);
   EXPECT_EQ(a.digest_for_peer(1, nullptr), b.digest_of_peer_table(0, nullptr));
+}
+
+// ---- the two-strike digest rule (NodeGroup and the chaos harness) ----
+
+TEST(DigestStrikesTest, FirstMismatchPendsAndTheSamePairConfirms) {
+  cluster::DigestStrikes strikes;
+  EXPECT_FALSE(strikes.observe(1, 2));  // first strike: maybe in flight
+  EXPECT_TRUE(strikes.observe(1, 2));   // nothing moved: resync
+  // A confirmation clears the tracker; the next mismatch starts over.
+  EXPECT_FALSE(strikes.observe(1, 2));
+  EXPECT_TRUE(strikes.observe(1, 2));
+}
+
+TEST(DigestStrikesTest, MatchClearsAPendingMismatch) {
+  cluster::DigestStrikes strikes;
+  EXPECT_FALSE(strikes.observe(7, 7));
+  EXPECT_FALSE(strikes.observe(7, 8));
+  EXPECT_FALSE(strikes.observe(9, 9));  // converged on its own
+  // The earlier mismatch was forgotten: seeing it again is a first strike.
+  EXPECT_FALSE(strikes.observe(7, 8));
+  EXPECT_TRUE(strikes.observe(7, 8));
+}
+
+TEST(DigestStrikesTest, MovingDigestRearmsInsteadOfConfirming) {
+  cluster::DigestStrikes strikes;
+  EXPECT_FALSE(strikes.observe(1, 2));
+  EXPECT_FALSE(strikes.observe(3, 2));  // the peer's side moved
+  EXPECT_FALSE(strikes.observe(3, 4));  // our side moved
+  // The last pair holds still for a second round: confirmed.
+  EXPECT_TRUE(strikes.observe(3, 4));
 }
 
 }  // namespace

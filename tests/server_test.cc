@@ -244,38 +244,6 @@ TEST_F(SwalaServerTest, StopIsIdempotent) {
 
 // ---- baselines ----
 
-TEST(AcceptModelTest, AcceptorQueueServesRequests) {
-  SwalaServerOptions options;
-  options.request_threads = 4;
-  options.accept_model = AcceptModel::kAcceptorQueue;
-  options.docroot = make_docroot("aq");
-  core::CacheManager manager(0, 1, cache_options(), RealClock::instance());
-  SwalaServer server(options, make_registry(), &manager);
-  ASSERT_TRUE(server.start().is_ok());
-  {
-    std::vector<std::thread> clients;
-    std::atomic<int> ok{0};
-    for (int c = 0; c < 4; ++c) {
-      clients.emplace_back([&] {
-        http::HttpClient client(server.address());
-        for (int i = 0; i < 8; ++i) {
-          auto resp = client.get("/cgi-bin/q?i=" + std::to_string(i));
-          if (resp.is_ok() && resp.value().status == 200) ok.fetch_add(1);
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-    EXPECT_EQ(ok.load(), 32);
-    // Cache flow works identically under this model.
-    http::HttpClient client(server.address());
-    auto hit = client.get("/cgi-bin/q?i=0");
-    ASSERT_TRUE(hit.is_ok());
-    EXPECT_EQ(hit.value().headers.get("X-Swala-Cache"), "hit-local");
-  }
-  server.stop();
-  server.stop();  // idempotent under this model too
-}
-
 TEST(MiniServerTest, ServesRequests) {
   BaselineOptions opts;
   opts.docroot = make_docroot("mini");
