@@ -109,17 +109,8 @@ void NodeGroup::stop() {
   if (info_accept_thread_.joinable()) info_accept_thread_.join();
   if (data_accept_thread_.joinable()) data_accept_thread_.join();
   if (purge_thread_.joinable()) purge_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(reader_mutex_);
-    for (auto& t : reader_threads_) {
-      if (t.joinable()) t.join();
-    }
-    for (auto& t : data_threads_) {
-      if (t.joinable()) t.join();
-    }
-    reader_threads_.clear();
-    data_threads_.clear();
-  }
+  reader_threads_.join_all();
+  data_threads_.join_all();
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     fetch_pool_.clear();
@@ -322,11 +313,9 @@ void NodeGroup::info_accept_loop() {
     }
     (void)conn.value().set_no_delay(true);
     (void)conn.value().set_recv_timeout(200);
-    std::lock_guard<std::mutex> lock(reader_mutex_);
-    reader_threads_.emplace_back(
-        [this, stream = std::move(conn.value())]() mutable {
-          info_read_loop(std::move(stream));
-        });
+    reader_threads_.spawn([this, stream = std::move(conn.value())]() mutable {
+      info_read_loop(std::move(stream));
+    });
   }
 }
 
@@ -466,18 +455,9 @@ void NodeGroup::data_accept_loop() {
     (void)conn.value().set_send_timeout(options_.fetch_timeout_ms);
     // The paper starts a separate thread per data request; with pooled
     // requester connections each thread serves a stream of fetches.
-    std::lock_guard<std::mutex> lock(reader_mutex_);
-    // Opportunistically reap finished data threads to bound the vector.
-    if (data_threads_.size() > 256) {
-      for (auto& t : data_threads_) {
-        if (t.joinable()) t.join();
-      }
-      data_threads_.clear();
-    }
-    data_threads_.emplace_back(
-        [this, stream = std::move(conn.value())]() mutable {
-          serve_data_request(std::move(stream));
-        });
+    data_threads_.spawn([this, stream = std::move(conn.value())]() mutable {
+      serve_data_request(std::move(stream));
+    });
   }
 }
 
@@ -976,7 +956,8 @@ Result<Message> NodeGroup::data_exchange(core::NodeId peer_id,
       (void)stream.set_no_delay(true);
     }
     // Pooled streams carry whatever timeout the previous request set, so
-    // (re)arm both directions for this request's budget unconditionally.
+    // arm both directions for this request's budget (a no-op when it is
+    // the budget already applied).
     (void)stream.set_recv_timeout(io_timeout_ms);
     (void)stream.set_send_timeout(io_timeout_ms);
 

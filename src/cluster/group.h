@@ -37,6 +37,7 @@
 #include "cluster/digest_strikes.h"
 #include "cluster/framing.h"
 #include "cluster/transport.h"
+#include "common/connection_threads.h"
 #include "common/queue.h"
 #include "common/random.h"
 #include "core/manager.h"
@@ -380,9 +381,9 @@ class NodeGroup final : public core::CooperationBus {
   std::thread purge_thread_;
   std::vector<std::unique_ptr<PeerLink>> peers_;  // excludes self
 
-  std::mutex reader_mutex_;
-  std::vector<std::thread> reader_threads_;
-  std::vector<std::thread> data_threads_;
+  // One thread per inbound info / data connection.
+  ConnectionThreads reader_threads_;
+  ConnectionThreads data_threads_;
 
   // Pooled idle data connections, keyed by peer node id.
   std::mutex pool_mutex_;

@@ -141,11 +141,6 @@ Status TcpStream::set_no_delay(bool on) {
 
 namespace {
 Status set_timeout(int fd, int optname, int timeout_ms) {
-  // 0 = unlimited, matching Deadline's "0 disables" idiom. Negative values
-  // are clamped to unlimited as well: a negative timeval is EINVAL on Linux
-  // and a silent sign-wrapped tv_sec elsewhere, neither of which anyone
-  // asked for.
-  if (timeout_ms < 0) timeout_ms = 0;
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
   tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
@@ -157,13 +152,31 @@ Status set_timeout(int fd, int optname, int timeout_ms) {
 }  // namespace
 
 Status TcpStream::set_recv_timeout(int timeout_ms) {
-  recv_timeout_ms_ = timeout_ms < 0 ? 0 : timeout_ms;
-  return set_timeout(fd_.get(), SO_RCVTIMEO, timeout_ms);
+  return apply_timeout(SO_RCVTIMEO, timeout_ms, &recv_timeout_ms_,
+                       &recv_timeout_applied_);
 }
 
 Status TcpStream::set_send_timeout(int timeout_ms) {
-  send_timeout_ms_ = timeout_ms < 0 ? 0 : timeout_ms;
-  return set_timeout(fd_.get(), SO_SNDTIMEO, timeout_ms);
+  return apply_timeout(SO_SNDTIMEO, timeout_ms, &send_timeout_ms_,
+                       &send_timeout_applied_);
+}
+
+Status TcpStream::apply_timeout(int optname, int timeout_ms, int* current_ms,
+                                bool* applied) {
+  // 0 = unlimited, matching Deadline's "0 disables" idiom. Negative values
+  // are clamped to unlimited as well: a negative timeval is EINVAL on Linux
+  // and a silent sign-wrapped tv_sec elsewhere, neither of which anyone
+  // asked for.
+  if (timeout_ms < 0) timeout_ms = 0;
+  // The hit path re-arms the same budget on every request; the kernel
+  // already holds it, so skip the syscall. The first call on a stream
+  // always reaches the kernel (an accepted socket may inherit the
+  // listener's timeouts).
+  if (*applied && *current_ms == timeout_ms) return Status::ok();
+  *current_ms = timeout_ms;
+  Status st = set_timeout(fd_.get(), optname, timeout_ms);
+  *applied = st.is_ok();
+  return st;
 }
 
 Status TcpStream::set_nonblocking(bool on) {

@@ -51,7 +51,8 @@ class TcpStream {
   /// to setsockopt as a negative timeval (EINVAL). The configured value is
   /// remembered so the read/write retry loops can bound the *total* time of
   /// an operation even when signals (EINTR) restart the syscall with a
-  /// fresh kernel timeout.
+  /// fresh kernel timeout. Setting the value already applied to the fd is
+  /// a no-op (no setsockopt).
   Status set_recv_timeout(int timeout_ms);
   Status set_send_timeout(int timeout_ms);
 
@@ -95,6 +96,12 @@ class TcpStream {
   // enforce the budget across EINTR restarts.
   int recv_timeout_ms_ = 0;
   int send_timeout_ms_ = 0;
+  // Whether the value above is the one the kernel holds for the fd.
+  bool recv_timeout_applied_ = false;
+  bool send_timeout_applied_ = false;
+
+  Status apply_timeout(int optname, int timeout_ms, int* current_ms,
+                       bool* applied);
 };
 
 /// A listening TCP socket.

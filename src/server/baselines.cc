@@ -40,11 +40,7 @@ void MiniServer::stop() {
   if (!running_.exchange(false)) return;
   listener_.close();
   if (acceptor_.joinable()) acceptor_.join();
-  std::lock_guard<std::mutex> lock(workers_mutex_);
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
+  workers_.join_all();
 }
 
 void MiniServer::accept_loop() {
@@ -54,14 +50,7 @@ void MiniServer::accept_loop() {
       if (conn.status().code() == StatusCode::kTimeout) continue;
       return;
     }
-    std::lock_guard<std::mutex> lock(workers_mutex_);
-    if (workers_.size() > 512) {  // bound the vector in long runs
-      for (auto& w : workers_) {
-        if (w.joinable()) w.join();
-      }
-      workers_.clear();
-    }
-    workers_.emplace_back([this, stream = std::move(conn.value())]() mutable {
+    workers_.spawn([this, stream = std::move(conn.value())]() mutable {
       handle_connection(std::move(stream), ctx_);
     });
   }

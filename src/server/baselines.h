@@ -15,8 +15,8 @@
 
 #include <atomic>
 #include <thread>
-#include <vector>
 
+#include "common/connection_threads.h"
 #include "server/context.h"
 
 namespace swala::server {
@@ -53,8 +53,7 @@ class MiniServer {
   net::TcpListener listener_;
   std::atomic<bool> running_{false};
   std::thread acceptor_;
-  std::mutex workers_mutex_;
-  std::vector<std::thread> workers_;
+  ConnectionThreads workers_;
 };
 
 /// Process-per-connection server (NCSA HTTPd stand-in). The parent forks a
@@ -63,7 +62,9 @@ class MiniServer {
 ///
 /// NOTE: fork() in a multi-threaded bench process is safe here because the
 /// child only touches the connection handler (no locks are held at fork
-/// time in this server's own thread) and exits immediately after.
+/// time in this server's own thread) and exits immediately after. The
+/// parent never serves a request, so it never takes the static-file cache
+/// lock, and each child starts with that cache empty.
 class ForkingServer {
  public:
   ForkingServer(BaselineOptions options,

@@ -1,16 +1,10 @@
 #include "server/context.h"
 
 #include <algorithm>
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "cluster/group.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "http/date.h"
-#include "http/mime.h"
 #include "http/parser.h"
 
 namespace swala::server {
@@ -21,23 +15,6 @@ constexpr std::string_view kServerName = "Swala/1.0";
 void count(ServerCounters* c, std::atomic<std::uint64_t> ServerCounters::*field) {
   if (c != nullptr) (c->*field).fetch_add(1, std::memory_order_relaxed);
 }
-
-/// Memory-mapped static file serving (§4: "We use memory-mapped I/O
-/// whenever possible to minimize the number of system calls and eliminate
-/// double-buffering"). The response head and the mapped body are written
-/// straight to the socket without copying into a Response.
-struct MappedFile {
-  void* addr = MAP_FAILED;
-  std::size_t size = 0;
-
-  ~MappedFile() {
-    if (addr != MAP_FAILED) ::munmap(addr, size);
-  }
-
-  std::string_view view() const {
-    return {static_cast<const char*>(addr), size};
-  }
-};
 
 /// Resolves a decoded request path under the docroot. parse_uri already
 /// removed dot segments; reject any residue defensively.
@@ -152,6 +129,11 @@ http::Response run_dynamic(const http::Request& request,
                           output.value().http_status, "miss");
 }
 
+/// Static files (§4). The paper maps files to save system calls and a
+/// copy; here the body is copied into the response anyway, and the munmap
+/// after each request costs a TLB shootdown across the node's CPUs. The
+/// context's StaticFileCache keeps each file in memory instead, checked by
+/// one stat() per request.
 http::Response serve_static(const http::Request& request,
                             const ServeContext& ctx) {
   count(ctx.counters, &ServerCounters::static_requests);
@@ -159,46 +141,7 @@ http::Response serve_static(const http::Request& request,
 
   auto full = resolve_static_path(ctx.docroot, request.uri.path);
   if (!full) return http::Response::error(403);
-
-  const int fd = ::open(full.value().c_str(), O_RDONLY);
-  if (fd < 0) return http::Response::error(404, request.uri.path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    return http::Response::error(404, request.uri.path);
-  }
-
-  // Conditional GET: If-Modified-Since lets 1990s-era clients and proxies
-  // revalidate cheaply with a 304.
-  if (const auto ims = request.headers.get("If-Modified-Since")) {
-    const auto since = http::parse_http_date(*ims);
-    if (since && st.st_mtime <= *since) {
-      ::close(fd);
-      http::Response not_modified;
-      not_modified.status = 304;
-      not_modified.headers.set("Last-Modified",
-                               http::format_http_date(st.st_mtime));
-      return not_modified;
-    }
-  }
-
-  http::Response resp;
-  resp.status = 200;
-  resp.headers.set("Content-Type", http::mime_type_for_path(full.value()));
-  resp.headers.set("Content-Length", std::to_string(st.st_size));
-  resp.headers.set("Last-Modified", http::format_http_date(st.st_mtime));
-  if (request.method != http::Method::kHead && st.st_size > 0) {
-    MappedFile map;
-    map.size = static_cast<std::size_t>(st.st_size);
-    map.addr = ::mmap(nullptr, map.size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map.addr == MAP_FAILED) {
-      ::close(fd);
-      return http::Response::error(500, "mmap failed");
-    }
-    resp.body.assign(map.view());
-  }
-  ::close(fd);
-  return resp;
+  return ctx.static_files.serve(full.value(), request);
 }
 
 std::string json_u64(std::string_view name, std::uint64_t value,
@@ -230,6 +173,11 @@ http::Response serve_status(const ServeContext& ctx) {
     body += json_u64("deadline_exceeded", s.deadline_exceeded);
     body += json_u64("active_connections", s.active_connections);
   }
+  // Whether static bytes came from memory (hits) or from disk (loads).
+  const StaticCacheStats files = ctx.static_files.stats();
+  body += json_u64("static_cache_hits", files.hits);
+  body += json_u64("static_cache_loads", files.loads);
+  body += json_u64("static_cache_bytes", files.bytes);
   body += json_u64("draining",
                    ctx.draining != nullptr &&
                            ctx.draining->load(std::memory_order_relaxed)

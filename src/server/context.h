@@ -18,6 +18,7 @@
 #include "core/manager.h"
 #include "net/socket.h"
 #include "server/access_log.h"
+#include "server/static_files.h"
 
 namespace swala::cluster {
 class NodeGroup;
@@ -84,6 +85,8 @@ struct ServerStats {
 /// handlers borrow it.
 struct ServeContext {
   std::string docroot;                         ///< empty = no static serving
+  /// The docroot's files, kept in memory and revalidated per request.
+  mutable StaticFileCache static_files;
   std::shared_ptr<cgi::HandlerRegistry> registry;  ///< may be null
   core::CacheManager* cache = nullptr;         ///< null = caching disabled
   /// When clustered, the node's group; /swala-status then reports per-peer

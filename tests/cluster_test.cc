@@ -11,6 +11,7 @@
 #include "cluster/local_cluster.h"
 #include "cluster/message.h"
 #include "common/random.h"
+#include "net/socket.h"
 
 namespace swala::cluster {
 namespace {
@@ -304,6 +305,29 @@ TEST(LocalClusterTest, PoolingDisabledStillWorks) {
     auto fetched = cluster.group(1).fetch_remote(0, "GET /cgi-bin/unpooled");
     ASSERT_TRUE(fetched.is_ok()) << fetched.status().to_string();
   }
+}
+
+TEST(LocalClusterTest, LiveDataConnectionNeverStallsThreadReaping) {
+  // One data thread per unpooled fetch: past 256 of them the accept loop
+  // used to join every thread, including one still serving a live
+  // connection, and from then on left every new connection unserved.
+  GroupOptions go;
+  go.fetch_pool_size = 0;
+  go.fetch_timeout_ms = 500;
+  LocalCluster cluster(2, cluster_options, RealClock::instance(), go);
+  const auto uri = uri_of("/cgi-bin/reaped");
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
+                              ok_output("r"), 1.0);
+
+  // Its serving thread stays live (250 ms read slices) until we close it.
+  auto idle = net::TcpStream::connect(cluster.members()[0].data_addr, 2000);
+  ASSERT_TRUE(idle.is_ok()) << idle.status().to_string();
+  for (int i = 0; i < 300; ++i) {
+    auto fetched = cluster.group(1).fetch_remote(0, "GET /cgi-bin/reaped");
+    ASSERT_TRUE(fetched.is_ok()) << i << ": " << fetched.status().to_string();
+  }
+  EXPECT_EQ(cluster.group(0).stats().fetches_served, 300u);
 }
 
 TEST(LocalClusterTest, TtlEntriesPurgedAndBroadcastAcrossCluster) {

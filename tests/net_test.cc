@@ -4,6 +4,7 @@
 
 #include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -343,6 +344,54 @@ TEST(TimeoutClampTest, NegativeTimeoutMeansUnlimitedNotGarbage) {
   writer.join();
   ASSERT_TRUE(n.is_ok()) << n.status().to_string();
   EXPECT_EQ(n.value(), 4u);
+}
+
+int kernel_timeout_ms(int fd, int optname) {
+  timeval tv{};
+  socklen_t len = sizeof(tv);
+  if (::getsockopt(fd, SOL_SOCKET, optname, &tv, &len) != 0) return -1;
+  return static_cast<int>(tv.tv_sec * 1000 + tv.tv_usec / 1000);
+}
+
+TEST(TimeoutClampTest, RepeatedTimeoutSkipsSyscallButNeverHidesChange) {
+  auto listener = TcpListener::listen({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.is_ok());
+  const InetAddress addr{"127.0.0.1", listener.value().local_port()};
+  auto client = TcpStream::connect(addr, 2000);
+  ASSERT_TRUE(client.is_ok());
+  auto server = listener.value().accept(2000);
+  ASSERT_TRUE(server.is_ok());
+  const int fd = server.value().raw_fd();
+
+  // The first call on a stream always reaches the kernel, even for the
+  // value the stream starts out assuming (0 = unlimited).
+  const timeval preset{0, 50 * 1000};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &preset, sizeof(preset)),
+            0);
+  ASSERT_TRUE(server.value().set_recv_timeout(0).is_ok());
+  EXPECT_EQ(kernel_timeout_ms(fd, SO_RCVTIMEO), 0);
+
+  ASSERT_TRUE(server.value().set_recv_timeout(2000).is_ok());
+  ASSERT_TRUE(server.value().set_recv_timeout(2000).is_ok());
+  EXPECT_EQ(kernel_timeout_ms(fd, SO_RCVTIMEO), 2000);
+  ASSERT_TRUE(server.value().set_recv_timeout(100).is_ok());
+  EXPECT_EQ(kernel_timeout_ms(fd, SO_RCVTIMEO), 100);
+
+  const auto start = std::chrono::steady_clock::now();
+  char buf[8];
+  auto n = server.value().read_some(buf, sizeof(buf));
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_FALSE(n.is_ok());
+  EXPECT_EQ(n.status().code(), StatusCode::kTimeout);
+  EXPECT_GE(waited.count(), 80);
+  EXPECT_LT(waited.count(), 1000) << "the shorter timeout never took effect";
+
+  ASSERT_TRUE(server.value().set_send_timeout(300).is_ok());
+  ASSERT_TRUE(server.value().set_send_timeout(300).is_ok());
+  EXPECT_EQ(kernel_timeout_ms(fd, SO_SNDTIMEO), 300);
+  ASSERT_TRUE(server.value().set_send_timeout(0).is_ok());
+  EXPECT_EQ(kernel_timeout_ms(fd, SO_SNDTIMEO), 0);
 }
 
 TEST(TimeoutClampTest, HugeTimeoutDoesNotOverflowTimeval) {

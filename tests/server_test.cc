@@ -3,10 +3,15 @@
 // baseline servers, and SwalaNode config assembly.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <atomic>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "cgi/scripted.h"
 #include "http/client.h"
@@ -129,6 +134,224 @@ TEST(HandleRequestTest, HeadHasNoBodyButLength) {
   EXPECT_EQ(resp.status, 200);
   EXPECT_TRUE(resp.body.empty());
   EXPECT_EQ(resp.headers.get("Content-Length"), "17");
+}
+
+// ---- static-file cache ----
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Backdates a file's mtime: a file modified within the last second is
+/// served but not retained.
+void set_mtime(const std::string& path, std::time_t seconds) {
+  const timespec times[2] = {{seconds, 0}, {seconds, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+}
+
+http::Response static_get(const ServeContext& ctx, const std::string& target,
+                          http::Method method = http::Method::kGet) {
+  http::Request req;
+  req.method = method;
+  EXPECT_TRUE(http::parse_uri(target, &req.uri));
+  return handle_request(req, ctx);
+}
+
+TEST(HandleRequestTest, StaticCacheServesRepeatsFromMemory) {
+  ServeContext ctx;
+  ctx.enable_admin = true;
+  ctx.docroot = make_docroot("sc_repeat");
+  set_mtime(ctx.docroot + "/sub/page.txt", std::time(nullptr) - 100);
+
+  EXPECT_EQ(static_get(ctx, "/sub/page.txt").body, "plain text content");
+  EXPECT_EQ(static_get(ctx, "/sub/page.txt").body, "plain text content");
+  const StaticCacheStats st = ctx.static_files.stats();
+  EXPECT_EQ(st.loads, 1u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.bytes, std::string("plain text content").size());
+
+  const std::string status = static_get(ctx, "/swala-status").body;
+  EXPECT_NE(status.find("\"static_cache_hits\": 1,"), std::string::npos);
+  EXPECT_NE(status.find("\"static_cache_loads\": 1,"), std::string::npos);
+  EXPECT_NE(status.find("\"static_cache_bytes\": 18,"), std::string::npos);
+
+  // A file written just now is served from disk until it has settled.
+  EXPECT_EQ(static_get(ctx, "/index.html").body, "<html>home</html>");
+  EXPECT_EQ(static_get(ctx, "/index.html").body, "<html>home</html>");
+  EXPECT_EQ(ctx.static_files.stats().loads, 3u);
+  EXPECT_EQ(ctx.static_files.stats().bytes, 18u);
+}
+
+TEST(HandleRequestTest, StaticCacheSameSizeRewriteServesNewBytes) {
+  ServeContext ctx;
+  ctx.docroot = make_docroot("sc_rewrite");
+  const std::string path = ctx.docroot + "/v.txt";
+  write_file(path, "version-1");
+  set_mtime(path, std::time(nullptr) - 100);
+  EXPECT_EQ(static_get(ctx, "/v.txt").body, "version-1");
+  EXPECT_EQ(static_get(ctx, "/v.txt").body, "version-1");
+
+  // Same inode, same size; only the mtime tells the versions apart.
+  write_file(path, "version-2");
+  set_mtime(path, std::time(nullptr) - 50);
+  EXPECT_EQ(static_get(ctx, "/v.txt").body, "version-2");
+  const StaticCacheStats st = ctx.static_files.stats();
+  EXPECT_EQ(st.loads, 2u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.bytes, 9u);
+}
+
+TEST(HandleRequestTest, StaticCacheRenameReplaceServesNewBytes) {
+  ServeContext ctx;
+  ctx.docroot = make_docroot("sc_rename");
+  const std::string path = ctx.docroot + "/v.txt";
+  const std::time_t when = std::time(nullptr) - 100;
+  write_file(path, "version-1");
+  set_mtime(path, when);
+  EXPECT_EQ(static_get(ctx, "/v.txt").body, "version-1");
+
+  // Same size and mtime: only the new inode tells the versions apart.
+  write_file(path + ".tmp", "version-2");
+  set_mtime(path + ".tmp", when);
+  ASSERT_EQ(std::rename((path + ".tmp").c_str(), path.c_str()), 0);
+  EXPECT_EQ(static_get(ctx, "/v.txt").body, "version-2");
+  EXPECT_EQ(ctx.static_files.stats().loads, 2u);
+}
+
+TEST(HandleRequestTest, StaticCacheUnlinkedFileIs404) {
+  ServeContext ctx;
+  ctx.docroot = make_docroot("sc_unlink");
+  set_mtime(ctx.docroot + "/sub/page.txt", std::time(nullptr) - 100);
+  ASSERT_EQ(static_get(ctx, "/sub/page.txt").status, 200);
+  ASSERT_EQ(ctx.static_files.stats().bytes, 18u);
+
+  std::filesystem::remove(ctx.docroot + "/sub/page.txt");
+  EXPECT_EQ(static_get(ctx, "/sub/page.txt").status, 404);
+  EXPECT_EQ(ctx.static_files.stats().bytes, 0u);
+}
+
+TEST(HandleRequestTest, StaticCacheAnswersHeadAnd304FromEntry) {
+  ServeContext ctx;
+  ctx.docroot = make_docroot("sc_head");
+  set_mtime(ctx.docroot + "/index.html", std::time(nullptr) - 100);
+  const auto fresh = static_get(ctx, "/index.html");
+  ASSERT_EQ(fresh.status, 200);
+  const auto last_modified = fresh.headers.get("Last-Modified");
+  ASSERT_TRUE(last_modified.has_value());
+
+  const auto head = static_get(ctx, "/index.html", http::Method::kHead);
+  EXPECT_EQ(head.status, 200);
+  EXPECT_TRUE(head.body.empty());
+  EXPECT_EQ(head.headers.get("Content-Length"), "17");
+  EXPECT_EQ(head.headers.get("Content-Type"), "text/html");
+  EXPECT_EQ(head.headers.get("Last-Modified"), *last_modified);
+
+  http::Request req;
+  ASSERT_TRUE(http::parse_uri("/index.html", &req.uri));
+  req.headers.set("If-Modified-Since", *last_modified);
+  const auto conditional = handle_request(req, ctx);
+  EXPECT_EQ(conditional.status, 304);
+  EXPECT_TRUE(conditional.body.empty());
+  EXPECT_EQ(conditional.headers.get("Last-Modified"), *last_modified);
+
+  const StaticCacheStats st = ctx.static_files.stats();
+  EXPECT_EQ(st.loads, 1u);
+  EXPECT_EQ(st.hits, 2u);
+}
+
+TEST(HandleRequestTest, StaticCacheFileOverCapServedExactNotRetained) {
+  ServeContext ctx;
+  ctx.docroot = make_docroot("sc_big");
+  std::string big(StaticFileCache::kMaxFileBytes + 1, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + (i * 7919) % 26);
+  }
+  write_file(ctx.docroot + "/big.bin", big);
+  set_mtime(ctx.docroot + "/big.bin", std::time(nullptr) - 100);
+
+  for (int i = 0; i < 2; ++i) {
+    const auto resp = static_get(ctx, "/big.bin");
+    ASSERT_EQ(resp.status, 200);
+    EXPECT_TRUE(resp.body == big) << "body differs from the file";
+    EXPECT_EQ(resp.headers.get("Content-Length"), std::to_string(big.size()));
+  }
+  const StaticCacheStats st = ctx.static_files.stats();
+  EXPECT_EQ(st.loads, 2u);
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.bytes, 0u);
+}
+
+TEST(HandleRequestTest, StaticCacheStaysWithinBudget) {
+  ServeContext ctx;
+  ctx.docroot = make_docroot("sc_budget");
+  const std::size_t files =
+      StaticFileCache::kBudgetBytes / StaticFileCache::kMaxFileBytes + 2;
+  const std::time_t when = std::time(nullptr) - 100;
+  for (std::size_t i = 0; i < files; ++i) {
+    const std::string path = ctx.docroot + "/f" + std::to_string(i);
+    write_file(path, std::string(StaticFileCache::kMaxFileBytes,
+                                 static_cast<char>('a' + i % 26)));
+    set_mtime(path, when);
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < files; ++i) {
+      const auto resp = static_get(ctx, "/f" + std::to_string(i));
+      ASSERT_EQ(resp.status, 200);
+      ASSERT_EQ(resp.body, std::string(StaticFileCache::kMaxFileBytes,
+                                        static_cast<char>('a' + i % 26)));
+      ASSERT_LE(ctx.static_files.stats().bytes,
+                StaticFileCache::kBudgetBytes);
+    }
+  }
+  EXPECT_GT(ctx.static_files.stats().hits, 0u);
+  std::filesystem::remove_all(ctx.docroot);
+}
+
+TEST(HandleRequestTest, StaticCacheConcurrentReadersSeeWholeVersions) {
+  ServeContext ctx;
+  ctx.docroot = make_docroot("sc_concurrent");
+  const std::string path = ctx.docroot + "/v.txt";
+  // Version i is filled with one letter; its length is a function of the
+  // letter, so a torn or mixed body cannot pass the check below.
+  const auto size_of = [](char c) {
+    return static_cast<std::size_t>(3000 + (c - 'a') * 97);
+  };
+  const auto make_version = [&](int i, const std::string& to) {
+    const char c = static_cast<char>('a' + i % 26);
+    write_file(to, std::string(size_of(c), c));
+    // Even versions are backdated, so they are retained and served from
+    // memory; odd ones are fresh and read per request.
+    if (i % 2 == 0) set_mtime(to, std::time(nullptr) - 1000 + i);
+  };
+  make_version(0, path);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        const auto resp = static_get(ctx, "/v.txt");
+        const bool whole =
+            resp.status == 200 && !resp.body.empty() &&
+            resp.body.size() == size_of(resp.body[0]) &&
+            resp.body.find_first_not_of(resp.body[0]) == std::string::npos &&
+            resp.headers.get("Content-Length") ==
+                std::to_string(resp.body.size());
+        if (!whole) bad.fetch_add(1);
+        served.fetch_add(1);
+      }
+    });
+  }
+  for (int i = 1; i <= 200; ++i) {
+    make_version(i, path + ".tmp");
+    ASSERT_EQ(std::rename((path + ".tmp").c_str(), path.c_str()), 0);
+  }
+  done = true;
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0) << "of " << served.load() << " responses";
+  EXPECT_GT(ctx.static_files.stats().hits, 0u);
 }
 
 // ---- SwalaServer over sockets ----
