@@ -3,13 +3,14 @@
 // 24 simultaneous clients repeatedly request the paper's nullcgi (a CGI
 // program that does no work, <100 bytes of output) against five
 // configurations:
-//   Enterprise stand-in (MiniServer + fork/exec CGI)
-//   HTTPd stand-in      (ForkingServer + fork/exec CGI)
-//   Swala, no cache     (fork/exec CGI per request)
+//   Enterprise stand-in (MiniServer + posix_spawn CGI)
+//   HTTPd stand-in      (ForkingServer: fork per connection, then
+//                        posix_spawn CGI from the forked child)
+//   Swala, no cache     (posix_spawn CGI per request)
 //   Swala, remote fetch (two nodes; cache warmed on node A, load on node B)
 //   Swala, local fetch  (cache warmed and loaded on the same node)
-// This measures the fork/exec call overhead that caching eliminates, and
-// the extra cost of a remote vs local cache fetch.
+// This measures the process-creation overhead of a CGI call that caching
+// eliminates, and the extra cost of a remote vs local cache fetch.
 //
 // Usage: fig3_nullcgi [path-to-nullcgi]   (defaults to ./nullcgi, then the
 // build-tree path compiled in).
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
     std::printf("  Enterprise stand-in done\n");
   }
 
-  {  // HTTPd stand-in: a fork per connection plus a fork per CGI.
+  {  // HTTPd stand-in: a fork per connection plus a spawn per CGI.
     server::BaselineOptions options;
     server::ForkingServer server(options, null_registry(nullcgi));
     if (!server.start().is_ok()) return 1;

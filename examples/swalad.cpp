@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -109,7 +110,7 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  if (::pipe(g_signal_pipe) != 0) return 1;
+  if (::pipe2(g_signal_pipe, O_CLOEXEC) != 0) return 1;
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
   std::signal(SIGUSR2, on_signal);  // graceful decommission, then exit

@@ -1,9 +1,10 @@
 // ExecGate: a counting semaphore over CGI execution. The paper's Figure 3
-// shows per-request CGI overhead (fork/exec) dominating service time; under
-// a miss burst, unbounded concurrent forks degrade into a fork storm. The
-// gate caps concurrent executions; queue-wait counts against the caller's
-// request deadline, so a request that cannot get a slot in time fails fast
-// (the server sheds it with 503) instead of piling onto an overloaded box.
+// shows per-request CGI overhead (process creation) dominating service time;
+// under a miss burst, unbounded concurrent spawns degrade into a process
+// storm. The gate caps concurrent executions; queue-wait counts against the
+// caller's request deadline, so a request that cannot get a slot in time
+// fails fast (the server sheds it with 503) instead of piling onto an
+// overloaded box.
 #pragma once
 
 #include <algorithm>

@@ -1,7 +1,8 @@
 // CGI execution abstraction. Two implementations exist:
 //   * ScriptedCgi  — in-process handler with a configurable compute model;
 //                    deterministic, used by tests and benchmark workloads.
-//   * ProcessCgi   — real fork/exec of an external program (RFC 3875 style),
+//   * ProcessCgi   — real external program, posix_spawn'd once per request
+//                    (RFC 3875 style),
 //                    used by the quickstart example and Figure-3 experiments.
 // The Swala request threads see only this interface, mirroring the paper's
 // point that the cache lives *inside* the server, in front of CGI dispatch.

@@ -1,5 +1,5 @@
 // The paper's `nullcgi`: a CGI program that does no work and produces less
-// than a hundred bytes of output. Fork/exec'd by the Figure-3 experiment to
+// than a hundred bytes of output. Spawned by the Figure-3 experiment to
 // measure pure CGI call overhead.
 #include <cstdio>
 

@@ -6,10 +6,13 @@
 #include <cstring>
 #include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <optional>
 
 #include "common/logging.h"
 #include "net/fd.h"
@@ -47,68 +50,127 @@ std::vector<std::string> build_env(const http::Request& request,
   return env;
 }
 
+/// Holds SIGPIPE blocked for the calling thread while the request body is
+/// written to the child's stdin. A write into a pipe whose reader has exited
+/// fails with EPIPE and also queues SIGPIPE for the writing thread; without
+/// this guard that signal's default action kills the whole server.
+/// `consume()` takes the queued signal back before the mask is restored,
+/// unless one was already pending when the guard was made.
+class SigpipeGuard {
+ public:
+  SigpipeGuard() {
+    sigemptyset(&pipe_set_);
+    sigaddset(&pipe_set_, SIGPIPE);
+    sigset_t pending;
+    sigemptyset(&pending);
+    ::sigpending(&pending);
+    was_pending_ = sigismember(&pending, SIGPIPE) == 1;
+    ::pthread_sigmask(SIG_BLOCK, &pipe_set_, &saved_);
+  }
+  ~SigpipeGuard() { ::pthread_sigmask(SIG_SETMASK, &saved_, nullptr); }
+  SigpipeGuard(const SigpipeGuard&) = delete;
+  SigpipeGuard& operator=(const SigpipeGuard&) = delete;
+
+  void consume() {
+    if (was_pending_) return;
+    const timespec zero{};
+    while (::sigtimedwait(&pipe_set_, nullptr, &zero) < 0 && errno == EINTR) {
+    }
+  }
+
+ private:
+  sigset_t pipe_set_;
+  sigset_t saved_;
+  bool was_pending_ = false;
+};
+
+Status errno_status(StatusCode code, const char* what, int err) {
+  return Status(code, std::string(what) + ": " + std::strerror(err));
+}
+
 }  // namespace
 
 Result<ProcessResult> run_cgi_process(const std::string& executable,
                                       const http::Request& request,
                                       const ProcessOptions& options) {
+  // The child of posix_spawn runs on this process's memory until it execs,
+  // so everything it needs is built here, before the spawn.
+  const auto env_strings = build_env(request, executable, options);
+  std::vector<char*> envp;
+  envp.reserve(env_strings.size() + 1);
+  for (const auto& e : env_strings) envp.push_back(const_cast<char*>(e.c_str()));
+  envp.push_back(nullptr);
+  char* argv[] = {const_cast<char*>(executable.c_str()), nullptr};
+
+  // Every end is close-on-exec: the child keeps only the dup2'd copies on
+  // fds 0 and 1, and a CGI spawned concurrently by another thread inherits
+  // none of them.
   int in_pipe[2];   // parent -> child stdin
   int out_pipe[2];  // child stdout -> parent
-  if (::pipe(in_pipe) != 0) {
-    return Status(StatusCode::kIoError, std::string("pipe: ") + std::strerror(errno));
+  if (::pipe2(in_pipe, O_CLOEXEC) != 0) {
+    return errno_status(StatusCode::kIoError, "pipe2", errno);
   }
-  if (::pipe(out_pipe) != 0) {
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    return Status(StatusCode::kIoError, std::string("pipe: ") + std::strerror(errno));
-  }
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    for (int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
-    return Status(StatusCode::kResourceExhausted,
-                  std::string("fork: ") + std::strerror(errno));
-  }
-
-  if (pid == 0) {
-    // Child: wire pipes to stdio and exec.
-    ::dup2(in_pipe[0], STDIN_FILENO);
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    for (int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
-
-    const auto env_strings = build_env(request, executable, options);
-    std::vector<char*> envp;
-    envp.reserve(env_strings.size() + 1);
-    for (const auto& e : env_strings) envp.push_back(const_cast<char*>(e.c_str()));
-    envp.push_back(nullptr);
-
-    char* argv[] = {const_cast<char*>(executable.c_str()), nullptr};
-    ::execve(executable.c_str(), argv, envp.data());
-    _exit(127);  // exec failed
-  }
-
-  // Parent.
   net::UniqueFd child_stdin(in_pipe[1]);
-  net::UniqueFd child_stdout(out_pipe[0]);
-  ::close(in_pipe[0]);
-  ::close(out_pipe[1]);
-
-  // Write the request body, then close to signal EOF.
-  if (!request.body.empty()) {
-    std::size_t off = 0;
-    while (off < request.body.size()) {
-      const ssize_t n = ::write(child_stdin.get(), request.body.data() + off,
-                                request.body.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;  // child may have exited without reading; not fatal
-      }
-      off += static_cast<std::size_t>(n);
-    }
+  net::UniqueFd child_in_end(in_pipe[0]);
+  if (::pipe2(out_pipe, O_CLOEXEC) != 0) {
+    return errno_status(StatusCode::kIoError, "pipe2", errno);
   }
-  child_stdin.reset();
+  net::UniqueFd child_stdout(out_pipe[0]);
+  net::UniqueFd child_out_end(out_pipe[1]);
+
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  int spawn_rc = posix_spawn_file_actions_adddup2(&actions, in_pipe[0], STDIN_FILENO);
+  if (spawn_rc == 0) {
+    spawn_rc = posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
+  }
+
+  // The child starts with no signal blocked, and with default SIGPIPE and
+  // SIGCHLD even where the server ignores them (ForkingServer ignores
+  // SIGCHLD to auto-reap its per-connection children).
+  posix_spawnattr_t attr;
+  posix_spawnattr_init(&attr);
+  posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETSIGMASK | POSIX_SPAWN_SETSIGDEF);
+  sigset_t signals;
+  sigemptyset(&signals);
+  posix_spawnattr_setsigmask(&attr, &signals);
+  sigaddset(&signals, SIGPIPE);
+  sigaddset(&signals, SIGCHLD);
+  posix_spawnattr_setsigdefault(&attr, &signals);
+
+  pid_t pid = -1;
+  if (spawn_rc == 0) {
+    spawn_rc = ::posix_spawn(&pid, executable.c_str(), &actions, &attr, argv,
+                             envp.data());
+  }
+  posix_spawn_file_actions_destroy(&actions);
+  posix_spawnattr_destroy(&attr);
+  child_in_end.reset();
+  child_out_end.reset();
 
   ProcessResult result;
+  if (spawn_rc != 0) {
+    if (spawn_rc == EAGAIN || spawn_rc == ENOMEM) {
+      return errno_status(StatusCode::kResourceExhausted, "posix_spawn", spawn_rc);
+    }
+    // glibc reports a failed exec (ENOENT, EACCES, ENOEXEC, ...) here rather
+    // than through a child that exits; report it as the shell does.
+    result.exit_code = 127;
+    return result;
+  }
+
+  // The body is written inside the deadline loop, through a non-blocking
+  // pipe, so a child that neither reads stdin nor exits is killed at the
+  // deadline instead of holding this thread in write().
+  std::size_t body_off = 0;
+  std::optional<SigpipeGuard> sigpipe_guard;
+  if (request.body.empty()) {
+    child_stdin.reset();
+  } else {
+    ::fcntl(child_stdin.get(), F_SETFL, O_NONBLOCK);
+    sigpipe_guard.emplace();
+  }
+
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration<double>(options.timeout_seconds);
@@ -120,8 +182,9 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
       result.timed_out = true;
       break;
     }
-    pollfd pfd{child_stdout.get(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
+    pollfd pfds[2] = {{child_stdout.get(), POLLIN, 0},
+                      {child_stdin.get(), POLLOUT, 0}};  // ignored once -1
+    const int rc = ::poll(pfds, 2, static_cast<int>(remaining.count()));
     if (rc == 0) {
       result.timed_out = true;
       break;
@@ -130,6 +193,20 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
       if (errno == EINTR) continue;
       break;
     }
+    if (pfds[1].revents != 0) {
+      const ssize_t n = ::write(child_stdin.get(), request.body.data() + body_off,
+                                request.body.size() - body_off);
+      if (n >= 0) {
+        body_off += static_cast<std::size_t>(n);
+        if (body_off == request.body.size()) child_stdin.reset();  // EOF
+      } else if (errno != EINTR && errno != EAGAIN) {
+        // The child exited or closed stdin without reading it all. Not
+        // fatal: its output is still read below.
+        if (errno == EPIPE) sigpipe_guard->consume();
+        child_stdin.reset();
+      }
+    }
+    if (pfds[0].revents == 0) continue;
     const ssize_t n = ::read(child_stdout.get(), buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -142,6 +219,8 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
       break;
     }
   }
+  // A child still reading stdin sees EOF rather than waiting on us forever.
+  child_stdin.reset();
 
   if (result.timed_out || result.oversized) ::kill(pid, SIGKILL);
   int wstatus = 0;

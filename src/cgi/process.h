@@ -1,6 +1,7 @@
-// Real CGI execution: fork/exec an external program with an RFC 3875-style
-// environment, feed it the request body on stdin, capture stdout. This is
-// the call mechanism whose fork/exec overhead the paper's Figure 3 measures.
+// Real CGI execution: posix_spawn one fresh process per request with an
+// RFC 3875-style environment, feed it the request body on stdin, capture
+// stdout. This is the call mechanism whose process-creation overhead the
+// paper's Figure 3 measures.
 #pragma once
 
 #include <string>

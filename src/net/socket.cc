@@ -12,18 +12,18 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+// Every socket is close-on-exec from the call that creates it: a CGI that
+// another thread spawns in between would otherwise inherit it, and an
+// inherited listening socket keeps the port bound after the server dies
+// (blocking a crash-restart) and holds client connections open past their
+// response.
+
 namespace swala::net {
 namespace {
 
 Status errno_status(StatusCode code, const std::string& what) {
   return Status(code, what + ": " + std::strerror(errno));
 }
-
-// Every socket is close-on-exec: CGI children fork+exec with the parent's
-// fd table, and an inherited listening socket would keep the port bound
-// after the server dies (blocking a crash-restart) and hold client
-// connections open past their response.
-void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
 Result<sockaddr_in> make_sockaddr(const InetAddress& addr) {
   sockaddr_in sa{};
@@ -78,9 +78,8 @@ Result<TcpStream> TcpStream::connect(const InetAddress& addr, int timeout_ms) {
   auto sa = make_sockaddr(addr);
   if (!sa) return sa.status();
 
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return errno_status(StatusCode::kIoError, "socket");
-  set_cloexec(fd.get());
 
   if (timeout_ms <= 0) {
     if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa.value()),
@@ -349,9 +348,8 @@ Result<TcpListener> TcpListener::listen(const InetAddress& addr, int backlog) {
   auto sa = make_sockaddr(addr);
   if (!sa) return sa.status();
 
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return errno_status(StatusCode::kIoError, "socket");
-  set_cloexec(fd.get());
 
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -382,11 +380,8 @@ Result<TcpStream> TcpListener::accept(int timeout_ms) {
     return Status(StatusCode::kTimeout, "accept timeout");
   }
   for (;;) {
-    const int client = ::accept(fd_.get(), nullptr, nullptr);
-    if (client >= 0) {
-      set_cloexec(client);
-      return TcpStream(UniqueFd(client));
-    }
+    const int client = ::accept4(fd_.get(), nullptr, nullptr, SOCK_CLOEXEC);
+    if (client >= 0) return TcpStream(UniqueFd(client));
     if (errno == EINTR) continue;
     if (errno == EBADF || errno == EINVAL) {
       return Status(StatusCode::kClosed, "listener closed");

@@ -9,7 +9,7 @@ AccessLog::~AccessLog() { close(); }
 Status AccessLog::open(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ != nullptr) std::fclose(file_);
-  file_ = std::fopen(path.c_str(), "a");
+  file_ = std::fopen(path.c_str(), "ae");  // close-on-exec: CGI never inherits it
   if (file_ == nullptr) {
     return Status(StatusCode::kIoError, "cannot open access log: " + path);
   }

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "common/logging.h"
@@ -390,7 +391,7 @@ void SwalaNode::housekeeping_loop() {
 void SwalaNode::register_signal_save() {
   SwalaNode* expected = nullptr;
   if (!g_signal_node.compare_exchange_strong(expected, this)) return;
-  if (g_save_pipe[0] < 0 && ::pipe(g_save_pipe) != 0) {
+  if (g_save_pipe[0] < 0 && ::pipe2(g_save_pipe, O_CLOEXEC) != 0) {
     g_signal_node.store(nullptr);
     return;
   }

@@ -19,7 +19,7 @@
 //   shed_resume_percent = 75  ; stop shedding below this % of the cap
 //   retry_after = 1        ; Retry-After seconds on 503 sheds
 //   request_timeout_ms = 30000  ; per-request budget; 0 = unlimited
-//   max_concurrent_cgi = 0 ; cap concurrent CGI forks; 0 = unlimited
+//   max_concurrent_cgi = 0 ; cap concurrent CGI processes; 0 = unlimited
 //   drain_timeout_ms = 5000     ; SIGTERM drain grace period
 //
 //   [cache]

@@ -15,7 +15,7 @@
 //                     │                                  v (eventfd wakeup)
 //                    close <──(Connection: close)── kWriting
 //
-// CPU-bound / blocking work (CGI fork+exec via the ExecGate, disk store
+// CPU-bound / blocking work (CGI spawns via the ExecGate, disk store
 // reads, single-flight waits) never runs on the loop: a completed request
 // is handed to a small worker pool; the worker posts the serialized
 // response to a completion queue and signals an eventfd the loop has

@@ -1,11 +1,22 @@
 // Tests for the CGI layer: document parsing, scripted handlers, registry
-// dispatch, and real fork/exec execution of the bundled nullcgi program.
+// dispatch, and real posix_spawn execution of the bundled nullcgi program.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <dirent.h>
+#include <fcntl.h>
+#include <set>
+#include <sstream>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include "cgi/handler.h"
 #include "cgi/process.h"
@@ -13,6 +24,7 @@
 #include "cgi/scripted.h"
 #include "core/manager.h"
 #include "http/message.h"
+#include "net/socket.h"
 
 #ifndef SWALA_NULLCGI_PATH
 #define SWALA_NULLCGI_PATH "./nullcgi"
@@ -28,6 +40,20 @@ http::Request make_request(const std::string& target) {
   EXPECT_TRUE(http::parse_uri(target, &req.uri));
   return req;
 }
+
+// Writes an executable shell script and returns its path.
+std::string write_script(const std::string& path, const char* text) {
+  FILE* f = fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return path;
+  fputs(text, f);
+  fclose(f);
+  chmod(path.c_str(), 0755);
+  return path;
+}
+
+constexpr char kNullCgiOutput[] =
+    "Content-Type: text/html\n\n<html><body>null cgi</body></html>\n";
 
 // ---- parse_cgi_document ----
 
@@ -201,7 +227,7 @@ TEST(RegistryTest, RemountReplaces) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
-// ---- ProcessCgi (real fork/exec) ----
+// ---- ProcessCgi (real posix_spawn) ----
 
 TEST(ProcessCgiTest, RunsNullCgi) {
   ProcessCgi cgi(SWALA_NULLCGI_PATH);
@@ -215,7 +241,7 @@ TEST(ProcessCgiTest, RunsNullCgi) {
 TEST(ProcessCgiTest, MissingExecutableFails) {
   ProcessCgi cgi("/nonexistent/program");
   auto out = cgi.run(make_request("/cgi-bin/x"));
-  // fork+exec succeeds at fork level; the child exits 127.
+  // The exec fails, which reports exit code 127 and so an unsuccessful run.
   ASSERT_TRUE(out.is_ok());
   EXPECT_FALSE(out.value().success);
 }
@@ -384,6 +410,173 @@ TEST(ProcessCgiTest, BodyPipedToStdin) {
   ASSERT_TRUE(out.is_ok());
   EXPECT_EQ(out.value().body, "posted payload");
   unlink(script.c_str());
+}
+
+// A CGI that exits without reading its body: the write into the dead pipe
+// fails with EPIPE, which must neither kill this process with SIGPIPE nor
+// lose the output the child did write.
+TEST(ProcessCgiTest, UnreadLargeBodyNeitherRaisesSigpipeNorLosesOutput) {
+  http::Request req = make_request("/cgi-bin/null");
+  req.method = http::Method::kPost;
+  req.body.assign(2 * 1024 * 1024, 'b');
+  auto result = run_cgi_process(SWALA_NULLCGI_PATH, req, ProcessOptions{});
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().exit_code, 0);
+  EXPECT_EQ(result.value().stdout_data, kNullCgiOutput);
+
+  ProcessCgi cgi(SWALA_NULLCGI_PATH);
+  auto out = cgi.run(req);
+  ASSERT_TRUE(out.is_ok());
+  EXPECT_TRUE(out.value().success);
+  EXPECT_NE(out.value().body.find("null cgi"), std::string::npos);
+}
+
+// The body is fed under the same deadline as the output is read: a child
+// that neither reads stdin nor exits is killed on time, not after it ends.
+TEST(ProcessCgiTest, BodyFeedStopsAtDeadline) {
+  const std::string script =
+      write_script("/tmp/swala_test_cgi_noread.sh", "#!/bin/sh\nexec sleep 30\n");
+  ProcessOptions opts;
+  opts.timeout_seconds = 0.2;
+  ProcessCgi cgi(script, opts);
+  http::Request req = make_request("/cgi-bin/noread");
+  req.method = http::Method::kPost;
+  req.body.assign(1024 * 1024, 'b');
+  const auto start = std::chrono::steady_clock::now();
+  auto out = cgi.run(req);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(out.is_ok());
+  EXPECT_FALSE(out.value().success);
+  EXPECT_EQ(out.value().http_status, 504);
+  EXPECT_LT(elapsed.count(), 5.0);
+  unlink(script.c_str());
+}
+
+// A CGI inherits stdin, stdout and stderr and nothing else: not the pipes
+// of a CGI that another thread is running, and not the server's sockets.
+TEST(ProcessCgiTest, ChildInheritsOnlyStdio) {
+  const std::string ready = "/tmp/swala_test_cgi_slow.ready";
+  unlink(ready.c_str());
+  const std::string slow = write_script(
+      "/tmp/swala_test_cgi_slow.sh", "#!/bin/sh\n: > \"$SWALA_READY\"\nexec sleep 30\n");
+  // find runs with the shell's fds but lists the shell's own table ($$),
+  // which is stable while the shell waits for it.
+  const std::string lister = write_script(
+      "/tmp/swala_test_cgi_fds.sh",
+      "#!/bin/sh\nprintf 'Content-Type: text/plain\\n\\n'\n"
+      "find /proc/$$/fd -mindepth 1 -printf '%f %l\\n'\n");
+
+  // Whatever launched this test may have handed it fds without
+  // close-on-exec (ctest passes its log file); those are not the server's.
+  std::set<int> launcher_fds;
+  if (DIR* dir = ::opendir("/proc/self/fd")) {
+    while (const dirent* entry = ::readdir(dir)) {
+      const int fd = std::atoi(entry->d_name);
+      if (fd > 2 && fd != ::dirfd(dir) && (::fcntl(fd, F_GETFD) & FD_CLOEXEC) == 0) {
+        launcher_fds.insert(fd);
+      }
+    }
+    ::closedir(dir);
+  }
+
+  auto listener = net::TcpListener::listen({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.is_ok());
+  auto client = net::TcpStream::connect(
+      {"127.0.0.1", listener.value().local_port()}, 1000);
+  ASSERT_TRUE(client.is_ok());
+  auto accepted = listener.value().accept(1000);
+  ASSERT_TRUE(accepted.is_ok());
+
+  ProcessOptions slow_opts;
+  slow_opts.timeout_seconds = 1.0;
+  slow_opts.extra_env.emplace_back("SWALA_READY", ready);
+  std::thread slow_thread([&] {
+    (void)run_cgi_process(slow, make_request("/cgi-bin/slow"), slow_opts);
+  });
+  struct stat st{};
+  for (int i = 0; i < 200 && ::stat(ready.c_str(), &st) != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  auto result = run_cgi_process(lister, make_request("/cgi-bin/fds"),
+                                ProcessOptions{});
+  slow_thread.join();
+  ASSERT_EQ(::stat(ready.c_str(), &st), 0) << "slow CGI never started";
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  ASSERT_EQ(result.value().exit_code, 0) << result.value().stdout_data;
+
+  const std::string& text = result.value().stdout_data;
+  std::istringstream lines(text.substr(text.find("\n\n") + 2));
+  std::vector<int> seen;
+  std::string line;
+  while (std::getline(lines, line)) {
+    const int fd = std::stoi(line);
+    seen.push_back(fd);
+    const std::string target = line.substr(line.find(' ') + 1);
+    EXPECT_TRUE(fd <= 2 || target == lister || launcher_fds.count(fd) == 1)
+        << "CGI inherited fd " << fd << " -> " << target;
+  }
+  for (const int fd : {0, 1, 2}) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(), fd), seen.end()) << fd;
+  }
+  unlink(ready.c_str());
+  unlink(slow.c_str());
+  unlink(lister.c_str());
+}
+
+// Spawns from many threads at once: every child gets its own pipes and
+// environment, exec failures stay 127, and every child is reaped.
+TEST(ProcessCgiTest, ConcurrentSpawnsAreIsolatedAndReaped) {
+  const std::string env_script = write_script(
+      "/tmp/swala_test_cgi_env_concurrent.sh",
+      "#!/bin/sh\nprintf 'Content-Type: text/plain\\n\\nQ=%s\\n' \"$QUERY_STRING\"\n");
+  constexpr int kThreads = 8;
+  constexpr int kIterations = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIterations; ++i) {
+        const std::string query = "t=" + std::to_string(t) + "&i=" + std::to_string(i);
+        std::string executable;
+        std::string expected;
+        switch ((t + i) % 3) {
+          case 0:
+            executable = SWALA_NULLCGI_PATH;
+            expected = kNullCgiOutput;
+            break;
+          case 1:
+            executable = env_script;
+            expected = "Content-Type: text/plain\n\nQ=" + query + "\n";
+            break;
+          default:
+            executable = "/nonexistent/program";
+            break;
+        }
+        auto result = run_cgi_process(executable,
+                                      make_request("/cgi-bin/x?" + query),
+                                      ProcessOptions{});
+        const bool missing = expected.empty();
+        const bool ok = result.is_ok() &&
+                        result.value().exit_code == (missing ? 127 : 0) &&
+                        result.value().stdout_data == expected &&
+                        !result.value().timed_out && !result.value().oversized;
+        if (!ok && failures.fetch_add(1) == 0) {
+          ADD_FAILURE() << executable << " ?" << query << ": "
+                        << (result.is_ok() ? "exit " + std::to_string(result.value().exit_code) +
+                                                 " output [" + result.value().stdout_data + "]"
+                                           : result.status().to_string());
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  const pid_t reaped = ::waitpid(-1, nullptr, WNOHANG);
+  const int wait_errno = errno;
+  EXPECT_EQ(reaped, -1);
+  EXPECT_EQ(wait_errno, ECHILD) << "a CGI child was left unreaped";
+  unlink(env_script.c_str());
 }
 
 }  // namespace
