@@ -102,8 +102,6 @@ void maybe_pull(SimState* state, std::size_t receiver, std::size_t source,
 /// two-strike digest mismatch.
 void digest_round(SimState* state) {
   state->verdict.anti_entropy_rounds += 1;
-  const bool has_digest =
-      state->schedule->directory_mode != core::DirectoryMode::kQuery;
   for (std::size_t s = 0; s < state->managers.size(); ++s) {
     if (!state->live_member(s)) continue;
     CacheManager* sender = state->managers[s].get();
@@ -113,19 +111,18 @@ void digest_round(SimState* state) {
       std::size_t entries = 0;
       const std::uint64_t digest =
           sender->digest_for_peer(static_cast<NodeId>(p), &entries);
-      const auto msg = cluster::Message::make_digest(
-          static_cast<NodeId>(s), high, has_digest, digest);
+      const auto msg =
+          cluster::Message::make_digest(static_cast<NodeId>(s), high, digest);
       state->count_repair(msg);
       double delay = kDeliveryDelay;
       if (state->buses[s]->deliveries(static_cast<NodeId>(p),
                                       cluster::MsgType::kDigest, &delay) == 0) {
         continue;  // this round's frame lost; the next round retries
       }
-      state->engine.schedule_in(delay, [state, s, p, high, has_digest,
-                                        digest] {
+      state->engine.schedule_in(delay, [state, s, p, high, digest] {
         if (!state->alive[p] || !state->alive[s]) return;
         maybe_pull(state, p, s, high);
-        if (!has_digest) return;
+        // Query mode digests an empty set to 0 on both sides: no strike.
         std::size_t n = 0;
         const std::uint64_t local =
             state->managers[p]->digest_of_peer_table(static_cast<NodeId>(s),

@@ -210,14 +210,10 @@ void NodeGroup::probe_dead_peers() {
 Message NodeGroup::make_hello() const {
   // The epoch vector rides every greeting/probe, so the first exchange
   // after a rejoin already exposes any invalidation gap. Before attach()
-  // there is no log yet: plain HELLO.
+  // there is no log yet: an empty vector.
   core::CacheManager* manager = manager_.load(std::memory_order_acquire);
-  if (manager == nullptr) return Message::hello(self_);
-  // The membership epoch rides along too, so divergent views surface on the
-  // first exchange (status pages and tests compare them; the kJoin protocol
-  // itself converges via kJoinAck).
-  return Message::hello_membership(self_, manager->inv_high_vector(),
-                                   manager->membership_epoch());
+  return Message::hello(self_, manager == nullptr ? core::EpochVector{}
+                                                  : manager->inv_high_vector());
 }
 
 void NodeGroup::anti_entropy_round() {
@@ -229,18 +225,15 @@ void NodeGroup::anti_entropy_round() {
   if (!manager->is_member(self_) || manager->decommissioning()) return;
   anti_entropy_rounds_.fetch_add(1, std::memory_order_relaxed);
   const auto high = manager->inv_high_vector();
-  // Query mode keeps no remote directory state to compare, so its digest
-  // is omitted; the epoch vector still repairs lost invalidations.
-  const bool has_digest =
-      manager->directory_mode() != core::DirectoryMode::kQuery;
   for (auto& peer : peers_) {
     if (!peer->active.load(std::memory_order_acquire)) continue;
     if (state_of(peer.get()) == PeerState::kDead) continue;  // probes handle it
+    // Query mode keeps no remote directory state: both sides digest an
+    // empty set to 0, so the comparison always agrees.
     std::size_t entries = 0;
     const std::uint64_t digest =
-        has_digest ? manager->digest_for_peer(peer->address.id, &entries) : 0;
-    if (peer->outbound->try_push(
-            Message::make_digest(self_, high, has_digest, digest))) {
+        manager->digest_for_peer(peer->address.id, &entries);
+    if (peer->outbound->try_push(Message::make_digest(self_, high, digest))) {
       digests_sent_.fetch_add(1, std::memory_order_relaxed);
     } else {
       send_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -267,9 +260,7 @@ void NodeGroup::maybe_pull_inv_sync(core::NodeId peer,
   manager->apply_inv_sync(resp.value().inv_entries, resp.value().truncated);
 }
 
-void NodeGroup::check_digest(core::NodeId peer, bool has_digest,
-                             std::uint64_t digest) {
-  if (!has_digest) return;
+void NodeGroup::check_digest(core::NodeId peer, std::uint64_t digest) {
   core::CacheManager* manager = manager_.load(std::memory_order_acquire);
   PeerLink* link = find_link(peer);
   if (manager == nullptr || link == nullptr) return;
@@ -363,7 +354,7 @@ void NodeGroup::apply_info_message(const Message& msg) {
       // a member are dropped: we keep no table for it to compare.
       if (manager != nullptr && !manager->is_member(msg.sender)) break;
       maybe_pull_inv_sync(msg.sender, msg.epochs);
-      check_digest(msg.sender, msg.has_digest, msg.digest);
+      check_digest(msg.sender, msg.digest);
       break;
     case MsgType::kSyncReq:
       // The peer cleared its copy of our table; re-announce what we hold.
@@ -602,10 +593,6 @@ void NodeGroup::broadcast_erase(core::NodeId owner, const std::string& key,
   enqueue_broadcast(Message::erase(self_, key, version));
 }
 
-void NodeGroup::broadcast_invalidate(const std::string& pattern) {
-  enqueue_broadcast(Message::invalidate(self_, pattern));
-}
-
 void NodeGroup::broadcast_invalidate(const std::string& pattern,
                                      std::uint64_t epoch) {
   enqueue_broadcast(Message::invalidate(self_, pattern, epoch));
@@ -722,8 +709,8 @@ void NodeGroup::sender_loop(PeerLink* link) {
     }
 
     // Coalesce a run of queued directory updates into one kBatch frame.
-    // The batch is the retry unit below; a run of one goes out in its
-    // plain unbatched form, byte-identical to older builds.
+    // The batch is the retry unit below; a run of one goes out as its own
+    // frame, so per-type fault rules still see its type.
     std::vector<Message> run;
     run.push_back(std::move(*msg));
     if (options_.batch_max_messages > 1 && batchable(run.front())) {

@@ -81,9 +81,9 @@ struct GroupOptions {
   // ---- broadcast batching ----
   /// Most queued directory updates (INSERT/ERASE/INVALIDATE) a sender loop
   /// packs into one kBatch frame. 1 disables batching: every update goes in
-  /// its own frame, wire-identical to older builds. Kept off by default so
-  /// per-type fault-injection rules and frame-level tests see the unbatched
-  /// protocol unless a deployment opts in (node config defaults it on).
+  /// its own frame. Kept off by default because per-type fault-injection
+  /// rules and frame-level tests match on a frame's own type, which a
+  /// kBatch hides (node config defaults it on).
   std::size_t batch_max_messages = 1;
   /// Approximate payload ceiling for one batch frame.
   std::size_t batch_max_bytes = 256 * 1024;
@@ -105,7 +105,7 @@ struct GroupOptions {
   /// each live peer a kDigest (high-water invalidation epochs + directory
   /// digest). A receiver that detects an epoch gap pulls the missed
   /// invalidations (kInvSync); a digest mismatch on two consecutive rounds
-  /// triggers a directory resync. 0 disables anti-entropy (legacy
+  /// triggers a directory resync. 0 disables anti-entropy (the paper's
   /// fire-and-forget behaviour; node config defaults it on at 1000 ms).
   int anti_entropy_interval_ms = 0;
   /// Optional deterministic fault hook applied to every outgoing message
@@ -219,7 +219,8 @@ class NodeGroup final : public core::CooperationBus {
   Result<core::CachedResult> fetch_remote(core::NodeId owner,
                                           const std::string& key,
                                           int budget_ms) override;
-  void broadcast_invalidate(const std::string& pattern) override;
+  // Keeps the base's 1-arg no-op callable: swalabench/trace_node.cc calls it.
+  using core::CooperationBus::broadcast_invalidate;
   void broadcast_invalidate(const std::string& pattern,
                             std::uint64_t epoch) override;
   // Partitioned mode: unicast directory updates ride the info channel (and
@@ -348,8 +349,8 @@ class NodeGroup final : public core::CooperationBus {
   /// Re-announces every locally cached entry to one peer (resync).
   void push_state_to(PeerLink* link);
 
-  /// A HELLO carrying this node's invalidation high-water epochs (plain
-  /// HELLO before a manager is attached).
+  /// A HELLO carrying this node's invalidation high-water epochs (an empty
+  /// vector before a manager is attached).
   Message make_hello() const;
 
   /// One anti-entropy round: enqueue a tailored kDigest to every live peer.
@@ -362,7 +363,7 @@ class NodeGroup final : public core::CooperationBus {
 
   /// Digest comparison for one kDigest frame; two consecutive mismatches
   /// with the same expected value trigger a directory resync with `peer`.
-  void check_digest(core::NodeId peer, bool has_digest, std::uint64_t digest);
+  void check_digest(core::NodeId peer, std::uint64_t digest);
 
   core::NodeId self_;
   std::vector<MemberAddress> members_;

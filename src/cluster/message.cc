@@ -150,10 +150,11 @@ bool read_epochs(Reader* r, std::string_view payload,
 
 }  // namespace
 
-Message Message::hello(core::NodeId sender) {
+Message Message::hello(core::NodeId sender, core::EpochVector epochs) {
   Message m;
   m.type = MsgType::kHello;
   m.sender = sender;
+  m.epochs = std::move(epochs);
   return m;
 }
 
@@ -220,22 +221,12 @@ Message Message::sync_req(core::NodeId sender) {
   return m;
 }
 
-Message Message::hello_with_epochs(core::NodeId sender,
-                                   core::EpochVector epochs) {
-  Message m;
-  m.type = MsgType::kHello;
-  m.sender = sender;
-  m.epochs = std::move(epochs);
-  return m;
-}
-
 Message Message::make_digest(core::NodeId sender, core::EpochVector epochs,
-                             bool has_digest, std::uint64_t digest) {
+                             std::uint64_t digest) {
   Message m;
   m.type = MsgType::kDigest;
   m.sender = sender;
   m.epochs = std::move(epochs);
-  m.has_digest = has_digest;
   m.digest = digest;
   return m;
 }
@@ -315,17 +306,6 @@ Message Message::make_batch(core::NodeId sender,
   return m;
 }
 
-Message Message::hello_membership(core::NodeId sender,
-                                  core::EpochVector epochs,
-                                  std::uint64_t membership_epoch) {
-  Message m;
-  m.type = MsgType::kHello;
-  m.sender = sender;
-  m.epochs = std::move(epochs);
-  m.membership_epoch = membership_epoch;
-  return m;
-}
-
 Message Message::join(core::NodeId sender) {
   Message m;
   m.type = MsgType::kJoin;
@@ -370,22 +350,14 @@ std::string encode_message(const Message& msg) {
   put_u32(&payload, msg.sender);
   switch (msg.type) {
     case MsgType::kHello:
-      // Optional tails, in order: epoch vector (PR8), then membership epoch
-      // (PR10). An empty vector with membership epoch 0 keeps the legacy
-      // zero-payload HELLO byte-identical; a nonzero membership epoch
-      // forces the vector tail (possibly a zero count) so the decoder can
-      // delimit the two.
-      if (!msg.epochs.empty() || msg.membership_epoch != 0) {
-        put_epochs(&payload, msg.epochs);
-      }
-      if (msg.membership_epoch != 0) put_u64(&payload, msg.membership_epoch);
+      put_epochs(&payload, msg.epochs);
       break;
     case MsgType::kSyncReq:
       break;
     case MsgType::kInsert:
       put_meta(&payload, msg.meta);
-      // Optional handoff tail: flags byte + entry body. Plain directory
-      // updates stay byte-identical to every prior build.
+      // A handoff appends a flags byte + the entry body; a plain directory
+      // update, the common frame, carries no body and pays nothing for it.
       if (msg.handoff) {
         put_u8(&payload, 1);
         put_string(&payload, msg.data);
@@ -400,8 +372,7 @@ std::string encode_message(const Message& msg) {
       break;
     case MsgType::kInvalidate:
       put_string(&payload, msg.key);
-      // Optional epoch tail; epoch 0 keeps the legacy frame byte-identical.
-      if (msg.epoch != 0) put_u64(&payload, msg.epoch);
+      put_u64(&payload, msg.epoch);
       break;
     case MsgType::kFetchResp:
       put_u8(&payload, msg.found ? 1 : 0);
@@ -435,8 +406,7 @@ std::string encode_message(const Message& msg) {
       break;
     case MsgType::kDigest:
       put_epochs(&payload, msg.epochs);
-      put_u8(&payload, msg.has_digest ? 1 : 0);
-      if (msg.has_digest) put_u64(&payload, msg.digest);
+      put_u64(&payload, msg.digest);
       break;
     case MsgType::kInvSync:
       put_epochs(&payload, msg.epochs);
@@ -479,16 +449,13 @@ Result<Message> decode_message(std::string_view payload) {
   bool ok = true;
   switch (msg.type) {
     case MsgType::kHello:
-      // Optional tails: epoch vector, then membership epoch (both absent on
-      // legacy frames).
-      if (!r.done()) ok = read_epochs(&r, payload, &msg.epochs);
-      if (ok && !r.done()) ok = r.u64(&msg.membership_epoch);
+      ok = read_epochs(&r, payload, &msg.epochs);
       break;
     case MsgType::kSyncReq:
       break;
     case MsgType::kInsert:
       ok = read_meta(&r, &msg.meta);
-      // Optional handoff tail: flags byte + body (absent on plain updates).
+      // Handoff: flags byte + body after the meta.
       if (ok && !r.done()) {
         std::uint8_t flags = 0;
         ok = r.u8(&flags) && flags == 1 && r.str(&msg.data);
@@ -502,9 +469,8 @@ Result<Message> decode_message(std::string_view payload) {
       ok = r.str(&msg.key);
       break;
     case MsgType::kInvalidate:
-      ok = r.str(&msg.key);
-      // Optional epoch tail (absent on legacy frames; absent means 0).
-      if (ok && !r.done()) ok = r.u64(&msg.epoch);
+      // Epoch 0 would bypass the receiver's replay filter.
+      ok = r.str(&msg.key) && r.u64(&msg.epoch) && msg.epoch != 0;
       break;
     case MsgType::kFetchResp: {
       std::uint8_t found = 0;
@@ -559,13 +525,9 @@ Result<Message> decode_message(std::string_view payload) {
       }
       break;
     }
-    case MsgType::kDigest: {
-      std::uint8_t has = 0;
-      ok = read_epochs(&r, payload, &msg.epochs) && r.u8(&has);
-      msg.has_digest = has != 0;
-      if (ok && msg.has_digest) ok = r.u64(&msg.digest);
+    case MsgType::kDigest:
+      ok = read_epochs(&r, payload, &msg.epochs) && r.u64(&msg.digest);
       break;
-    }
     case MsgType::kInvSync:
       ok = read_epochs(&r, payload, &msg.epochs);
       break;
@@ -579,7 +541,8 @@ Result<Message> decode_message(std::string_view payload) {
       if (ok && count > payload.size() / 16) ok = false;
       for (std::uint32_t i = 0; ok && i < count; ++i) {
         core::InvalidationRecord rec;
-        ok = r.u32(&rec.origin) && r.u64(&rec.epoch) && r.str(&rec.pattern);
+        ok = r.u32(&rec.origin) && r.u64(&rec.epoch) && rec.epoch != 0 &&
+             r.str(&rec.pattern);
         if (ok) msg.inv_entries.push_back(std::move(rec));
       }
       break;

@@ -5,7 +5,27 @@
 //
 // Framing: u32 little-endian payload length, then the payload:
 //   u8 type | u32 sender | type-specific fields
-// Strings are u32 length + bytes. All integers little-endian.
+// Strings are u32 length + bytes; an epoch vector is a u32 count of
+// (u32 origin, u64 epoch) pairs. All integers little-endian. Each type has
+// exactly one body, and the decoder rejects a short or over-long one:
+//   kHello        epoch vector (empty before the manager is attached)
+//   kInsert       entry meta [u8 1 + body string: state handoff]
+//   kErase        key, u64 version
+//   kFetchReq     key
+//   kFetchResp    u8 found [meta + body string]
+//   kInvalidate   glob, u64 origin epoch (1-based; 0 is rejected)
+//   kSyncReq      —
+//   kBatch        u32 count, then count framed non-batch messages
+//   kOwnerUpdate  u8 op: 1 → meta; 2 → u32 caching node, key, u64 version
+//   kQuery        key
+//   kQueryHit     u8 found [meta]
+//   kDigest       epoch vector, u64 directory digest
+//   kInvSync      floor epoch vector
+//   kInvSyncResp  u8 truncated, u32 count, count × (u32 origin,
+//                 u64 epoch (nonzero), pattern)
+//   kJoin         —
+//   kJoinAck      u64 membership epoch, u32 count, count × u32 member id
+//   kDecommission u64 membership epoch
 #pragma once
 
 #include <cstdint>
@@ -58,22 +78,22 @@ struct Message {
   std::vector<Message> batch;  // kBatch: inner messages, applied in order
 
   // Anti-entropy fields (PR8).
-  std::uint64_t epoch = 0;     // kInvalidate: origin epoch (0 = unepoched)
-  core::EpochVector epochs;    // kHello (optional tail), kDigest: high-water
-                               // vector; kInvSync: requester floors
-  bool has_digest = false;     // kDigest: directory digest present
+  std::uint64_t epoch = 0;     // kInvalidate: origin epoch (1-based)
+  core::EpochVector epochs;    // kHello, kDigest: high-water vector;
+                               // kInvSync: requester floors
   std::uint64_t digest = 0;    // kDigest: xor digest of directory versions
   std::vector<core::InvalidationRecord> inv_entries;  // kInvSyncResp
   bool truncated = false;      // kInvSyncResp: log evicted needed records
 
   // Dynamic membership fields (PR10).
-  std::uint64_t membership_epoch = 0;  // kHello (optional tail, 0 = absent),
-                                       // kJoinAck, kDecommission
+  std::uint64_t membership_epoch = 0;  // kJoinAck, kDecommission
   std::vector<core::NodeId> members;   // kJoinAck: active member ids
-  bool handoff = false;  // kInsert: optional body tail present (state
-                         // handoff; the receiver adopts the entry)
+  bool handoff = false;  // kInsert: body attached (state handoff; the
+                         // receiver adopts the entry)
 
-  static Message hello(core::NodeId sender);
+  /// First frame on an info connection and the dead-peer probe: the
+  /// sender's high-water invalidation epochs.
+  static Message hello(core::NodeId sender, core::EpochVector epochs);
   static Message insert(core::NodeId sender, const core::EntryMeta& meta);
   static Message erase(core::NodeId sender, std::string key,
                        std::uint64_t version);
@@ -82,17 +102,13 @@ struct Message {
                                   const core::EntryMeta& meta,
                                   std::string data);
   static Message fetch_resp_miss(core::NodeId sender);
-  /// `epoch` 0 keeps the legacy frame byte-identical (unepoched).
+  /// `epoch` is the origin's per-node invalidation stamp (1-based).
   static Message invalidate(core::NodeId sender, std::string pattern,
-                            std::uint64_t epoch = 0);
+                            std::uint64_t epoch);
   static Message sync_req(core::NodeId sender);
-  /// HELLO carrying the sender's high-water epoch vector (empty vector
-  /// encodes as a legacy plain HELLO).
-  static Message hello_with_epochs(core::NodeId sender,
-                                   core::EpochVector epochs);
-  /// Anti-entropy round: high-water epochs + optional directory digest.
+  /// Anti-entropy round: high-water epochs + directory digest.
   static Message make_digest(core::NodeId sender, core::EpochVector epochs,
-                             bool has_digest, std::uint64_t digest);
+                             std::uint64_t digest);
   /// Pull request: "send every logged invalidation above these floors".
   static Message inv_sync(core::NodeId sender, core::EpochVector floors);
   static Message inv_sync_resp(core::NodeId sender,
@@ -111,12 +127,6 @@ struct Message {
   static Message make_batch(core::NodeId sender, std::vector<Message> messages);
 
   // ---- dynamic membership (PR10) ----
-  /// HELLO carrying both the invalidation epoch vector and the sender's
-  /// membership epoch. `membership_epoch` 0 falls back to the PR8 frame
-  /// (and an empty vector on top of that to the legacy plain HELLO).
-  static Message hello_membership(core::NodeId sender,
-                                  core::EpochVector epochs,
-                                  std::uint64_t membership_epoch);
   /// Data-channel request: "admit me to the cluster" (answered by kJoinAck).
   static Message join(core::NodeId sender);
   /// Admission answer: the responder's membership epoch + active member ids.

@@ -16,9 +16,7 @@
 // Per-origin bookkeeping keeps an exact duplicate filter without unbounded
 // memory: `floor` is the largest epoch E such that every epoch <= E has
 // been applied; epochs above the floor sit in a (normally tiny) set until
-// the hole closes. Epoch 0 marks a legacy/unepoched invalidation: it is
-// always applied and never logged, which keeps old frames and direct
-// on_peer_invalidate(pattern) callers working unchanged.
+// the hole closes. Epochs are 1-based, so epoch 0 is never admitted.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +55,8 @@ class InvalidationLog {
 
   /// Exact duplicate filter for a peer's (or replayed) invalidation.
   /// Returns true when the record is new — the caller must apply it — and
-  /// logs it; false when it was already applied (replayed frame: no-op).
-  /// Records with epoch 0 are legacy/unepoched: always "new", never logged.
+  /// logs it; false when it was already applied (replayed frame: no-op)
+  /// or carries epoch 0, which no origin stamps.
   bool admit(const InvalidationRecord& record);
 
   /// Highest epoch applied per origin (what HELLO/digest advertises).

@@ -615,10 +615,6 @@ std::size_t CacheManager::invalidate(const std::string& pattern) {
   return apply_invalidation(pattern, /*rebroadcast=*/true, self_, 0);
 }
 
-std::size_t CacheManager::on_peer_invalidate(const std::string& pattern) {
-  return apply_invalidation(pattern, /*rebroadcast=*/false, kInvalidNode, 0);
-}
-
 std::size_t CacheManager::on_peer_invalidate(const std::string& pattern,
                                              NodeId origin,
                                              std::uint64_t epoch) {
@@ -972,12 +968,8 @@ std::size_t CacheManager::apply_invalidation(const std::string& pattern,
     // Locally originated: stamp the next epoch inside the commit section so
     // the epoch order matches the store-mutation order.
     stamped_epoch = inv_log_.originate(self_, pattern).epoch;
-  } else if (epoch != 0) {
-    InvalidationRecord rec;
-    rec.origin = origin;
-    rec.epoch = epoch;
-    rec.pattern = pattern;
-    if (!inv_log_.admit(rec)) return 0;  // replayed frame: exact no-op
+  } else if (!inv_log_.admit({origin, epoch, pattern})) {
+    return 0;  // replayed frame: exact no-op
   }
   const auto dropped = store_->erase_matching(pattern);
   directory_->erase_matching(pattern);
@@ -1012,7 +1004,7 @@ std::size_t CacheManager::apply_inv_sync(
   {
     std::lock_guard<std::mutex> commit(commit_mutex_);
     for (const auto& rec : entries) {
-      if (rec.epoch == 0 || !inv_log_.admit(rec)) continue;  // replay: no-op
+      if (!inv_log_.admit(rec)) continue;  // replay: no-op
       const auto dropped = store_->erase_matching(rec.pattern);
       directory_->erase_matching(rec.pattern);
       // Announce the erases: survivors' peer tables were re-polluted by the

@@ -72,21 +72,20 @@ class CooperationBus {
   }
 
   /// Announces a cluster-wide invalidation of every key matching a
-  /// shell-style glob (application-driven invalidation, §4.2 future work).
-  /// Default: no-op, so single-purpose buses (tests, simulator) need not
-  /// care unless they exercise invalidation.
-  virtual void broadcast_invalidate(const std::string& pattern) {
-    (void)pattern;
-  }
-
-  /// Epoch-stamped variant (anti-entropy repair layer): the frame carries
-  /// the origin's monotonic epoch so peers can detect and repair a lost
-  /// invalidation. Default forwards to the unepoched overload so legacy
-  /// buses keep working.
+  /// shell-style glob (application-driven invalidation, §4.2 future work),
+  /// stamped with the origin's monotonic epoch so peers can detect and
+  /// repair a lost one. Default: no-op, so single-purpose buses (tests,
+  /// simulator) need not care unless they exercise invalidation.
   virtual void broadcast_invalidate(const std::string& pattern,
                                     std::uint64_t epoch) {
+    (void)pattern;
     (void)epoch;
-    broadcast_invalidate(pattern);
+  }
+
+  /// Unstamped form: a no-op that nothing in src/ calls. It stays only
+  /// because swalabench/trace_node.cc overrides it.
+  virtual void broadcast_invalidate(const std::string& pattern) {
+    (void)pattern;
   }
 
   // ---- partitioned mode (DirectoryMode::kPartitioned) ----
@@ -393,12 +392,9 @@ class CacheManager {
   /// ("GET /cgi-bin/report?q=1"). Returns local removals.
   std::size_t invalidate(const std::string& pattern);
 
-  /// Applies a peer's invalidation broadcast (no re-broadcast).
-  std::size_t on_peer_invalidate(const std::string& pattern);
-
-  /// Epoch-stamped variant: the (origin, epoch) pair feeds the replay log's
-  /// exact duplicate filter, so a replayed frame is a no-op. Epoch 0 =
-  /// legacy/unepoched (always applied, never logged).
+  /// Applies a peer's invalidation broadcast (no re-broadcast). The
+  /// (origin, epoch) pair feeds the replay log's exact duplicate filter, so
+  /// a replayed frame is a no-op.
   std::size_t on_peer_invalidate(const std::string& pattern, NodeId origin,
                                  std::uint64_t epoch);
 

@@ -55,9 +55,10 @@ Message roundtrip(const Message& msg) {
 }
 
 TEST(MessageTest, HelloRoundtrip) {
-  const Message out = roundtrip(Message::hello(5));
+  const Message out = roundtrip(Message::hello(5, {}));
   EXPECT_EQ(out.type, MsgType::kHello);
   EXPECT_EQ(out.sender, 5u);
+  EXPECT_TRUE(out.epochs.empty());
 }
 
 TEST(MessageTest, InsertRoundtrip) {
@@ -89,6 +90,59 @@ TEST(MessageTest, FetchRespRoundtrips) {
 
   const Message miss = roundtrip(Message::fetch_resp_miss(4));
   EXPECT_FALSE(miss.found);
+}
+
+TEST(MessageTest, JoinAckRoundtrip) {
+  const Message out = roundtrip(Message::join_ack(1, 9, {0, 1, 3}));
+  EXPECT_EQ(out.type, MsgType::kJoinAck);
+  EXPECT_EQ(out.sender, 1u);
+  EXPECT_EQ(out.membership_epoch, 9u);
+  EXPECT_EQ(out.members, (std::vector<core::NodeId>{0, 1, 3}));
+  EXPECT_TRUE(roundtrip(Message::join_ack(1, 9, {})).members.empty());
+}
+
+TEST(MessageTest, DecommissionRoundtrip) {
+  const Message out = roundtrip(Message::decommission(2, 4));
+  EXPECT_EQ(out.type, MsgType::kDecommission);
+  EXPECT_EQ(out.sender, 2u);
+  EXPECT_EQ(out.membership_epoch, 4u);
+}
+
+TEST(MessageTest, InsertHandoffRoundtrip) {
+  const Message out =
+      roundtrip(Message::insert_handoff(2, sample_meta(), "entry body"));
+  EXPECT_EQ(out.type, MsgType::kInsert);
+  EXPECT_TRUE(out.handoff);
+  EXPECT_EQ(out.data, "entry body");
+  expect_meta_eq(out.meta, sample_meta());
+  EXPECT_FALSE(roundtrip(Message::insert(2, sample_meta())).handoff);
+}
+
+/// Decodes every proper prefix of `msg`'s payload; returns the cut lengths
+/// that decoded.
+std::vector<std::size_t> accepted_cuts(const Message& msg) {
+  const std::string frame = encode_message(msg);
+  const std::string_view payload = std::string_view(frame).substr(4);
+  std::vector<std::size_t> accepted;
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    if (decode_message(payload.substr(0, cut)).is_ok()) accepted.push_back(cut);
+  }
+  return accepted;
+}
+
+TEST(MessageTest, MembershipFramesRejectEveryCut) {
+  EXPECT_TRUE(accepted_cuts(Message::join_ack(1, 9, {0, 1, 3})).empty());
+  EXPECT_TRUE(accepted_cuts(Message::join_ack(1, 9, {})).empty());
+  EXPECT_TRUE(accepted_cuts(Message::decommission(2, 4)).empty());
+}
+
+TEST(MessageTest, InsertHandoffCutNeverDecodesAsHandoff) {
+  // The one accepted cut ends exactly after the meta: that prefix is a
+  // whole plain kInsert, which records a pointer and adopts no body.
+  const std::size_t plain =
+      encode_message(Message::insert(2, sample_meta())).size() - 4;
+  EXPECT_EQ(accepted_cuts(Message::insert_handoff(2, sample_meta(), "body")),
+            std::vector<std::size_t>{plain});
 }
 
 TEST(MessageTest, RejectsTruncatedPayload) {
@@ -144,7 +198,7 @@ TEST(FramingTest, MessagesOverTcp) {
   std::thread sender([&] {
     auto stream = net::TcpStream::connect(addr, 2000);
     ASSERT_TRUE(stream.is_ok());
-    ASSERT_TRUE(write_message(stream.value(), Message::hello(7)).is_ok());
+    ASSERT_TRUE(write_message(stream.value(), Message::hello(7, {})).is_ok());
     ASSERT_TRUE(
         write_message(stream.value(), Message::insert(7, sample_meta())).is_ok());
     ASSERT_TRUE(

@@ -123,7 +123,9 @@ TEST(ManagerInvalidationTest, PeerInvalidateDoesNotRebroadcast) {
     Result<CachedResult> fetch_remote(NodeId, const std::string&) override {
       return Status(StatusCode::kNotFound, "n/a");
     }
-    void broadcast_invalidate(const std::string&) override { ++invalidates; }
+    void broadcast_invalidate(const std::string&, std::uint64_t) override {
+      ++invalidates;
+    }
     int invalidates = 0;
   };
   ManualClock clock(0);
@@ -131,7 +133,7 @@ TEST(ManagerInvalidationTest, PeerInvalidateDoesNotRebroadcast) {
   CacheManager manager(0, 2, open_options(), &clock, &bus);
   cache_target(manager, "/cgi-bin/z?q=1");
 
-  manager.on_peer_invalidate("GET /cgi-bin/z*");
+  manager.on_peer_invalidate("GET /cgi-bin/z*", 1, 1);
   EXPECT_EQ(bus.invalidates, 0) << "peer application must not echo";
   manager.invalidate("GET /cgi-bin/z*");
   EXPECT_EQ(bus.invalidates, 1);

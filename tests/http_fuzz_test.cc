@@ -174,20 +174,33 @@ std::vector<std::string> frame_corpus() {
   meta.version = 7;
 
   std::vector<std::string> corpus;
-  corpus.push_back(encode_message(Message::hello(1)));
+  corpus.push_back(encode_message(Message::hello(1, {{0, 3}, {2, 9}})));
   corpus.push_back(encode_message(Message::insert(2, meta)));
   corpus.push_back(encode_message(Message::erase(3, meta.key, 7)));
   corpus.push_back(encode_message(Message::fetch_req(1, meta.key)));
   corpus.push_back(
       encode_message(Message::fetch_resp_found(2, meta, "payload bytes")));
   corpus.push_back(encode_message(Message::fetch_resp_miss(2)));
-  corpus.push_back(encode_message(Message::invalidate(0, "/cgi-bin/*")));
+  corpus.push_back(encode_message(Message::invalidate(0, "/cgi-bin/*", 4)));
   corpus.push_back(encode_message(Message::sync_req(4)));
   corpus.push_back(encode_message(Message::owner_insert(5, meta)));
   corpus.push_back(encode_message(Message::owner_erase(5, 2, meta.key, 7)));
   corpus.push_back(encode_message(Message::query(6, meta.key)));
   corpus.push_back(encode_message(Message::query_hit(7, meta)));
   corpus.push_back(encode_message(Message::query_miss(7)));
+  std::vector<Message> batch;
+  batch.push_back(Message::insert(2, meta));
+  batch.push_back(Message::erase(2, meta.key, 7));
+  corpus.push_back(encode_message(Message::make_batch(2, std::move(batch))));
+  corpus.push_back(encode_message(Message::make_digest(1, {{1, 2}}, 0xD16E57)));
+  corpus.push_back(encode_message(Message::inv_sync(3, {{0, 1}, {1, 0}})));
+  corpus.push_back(encode_message(
+      Message::inv_sync_resp(0, {{1, 2, "/cgi-bin/a*"}}, false)));
+  corpus.push_back(encode_message(Message::join(4)));
+  corpus.push_back(encode_message(Message::join_ack(0, 5, {0, 1, 4})));
+  corpus.push_back(encode_message(Message::decommission(2, 6)));
+  corpus.push_back(
+      encode_message(Message::insert_handoff(2, meta, "handoff body")));
   return corpus;
 }
 
@@ -339,7 +352,7 @@ TEST(ClusterFrameFuzzTest, MixedBatchPreservesOrderAndContents) {
   std::vector<Message> inner;
   inner.push_back(Message::insert(2, batch_meta()));
   inner.push_back(Message::erase(2, batch_meta().key, 4));
-  inner.push_back(Message::invalidate(2, "/cgi-bin/*"));
+  inner.push_back(Message::invalidate(2, "/cgi-bin/*", 1));
   const auto frame = encode_message(Message::make_batch(2, std::move(inner)));
   auto decoded = decode_message(std::string_view(frame).substr(4));
   ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();

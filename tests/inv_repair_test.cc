@@ -1,7 +1,7 @@
 // Tests for the anti-entropy consistency-repair layer's building blocks:
-// the epoch-stamped InvalidationLog, the kHello/kInvalidate epoch tails and
-// the kDigest/kInvSync/kInvSyncResp wire messages (including legacy byte
-// compatibility), the CacheManager repair API (replay idempotency,
+// the epoch-stamped InvalidationLog, the epoch-carrying kHello/kInvalidate
+// frames and the kDigest/kInvSync/kInvSyncResp wire messages (including the
+// rejection of epoch 0), the CacheManager repair API (replay idempotency,
 // gap pull/apply, truncation fallback, directory digests), and the
 // two-strike digest mismatch rule.
 #include <gtest/gtest.h>
@@ -85,12 +85,17 @@ TEST(InvalidationLogTest, OutOfOrderAdmitClosesTheHole) {
   EXPECT_FALSE(log.admit({2, 1, "GET /a*"}));  // below floor = duplicate
 }
 
-TEST(InvalidationLogTest, EpochZeroIsLegacyAlwaysNewNeverLogged) {
+TEST(InvalidationLogTest, EpochZeroIsNeverAdmittedNorLogged) {
   InvalidationLog log;
-  EXPECT_TRUE(log.admit({2, 0, "GET /legacy*"}));
-  EXPECT_TRUE(log.admit({2, 0, "GET /legacy*"}));
+  EXPECT_FALSE(log.admit({2, 0, "GET /x*"}));
   EXPECT_EQ(log.size(), 0u);
   EXPECT_TRUE(log.high_vector().empty());
+  EXPECT_TRUE(log.floor_vector().empty());
+  // It does not disturb the origin's real epochs either.
+  EXPECT_TRUE(log.admit({2, 1, "GET /x*"}));
+  EXPECT_FALSE(log.admit({2, 0, "GET /x*"}));
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(vec_get(log.floor_vector(), 2), 1u);
 }
 
 TEST(InvalidationLogTest, BehindDetectsGapsAgainstPeerHigh) {
@@ -143,7 +148,12 @@ Message roundtrip(const Message& msg) {
   return decoded.value();
 }
 
-// ---- wire protocol: epoch tails + new repair messages ----
+/// The payload (no length prefix) of `msg`'s frame.
+std::string payload_of(const Message& msg) {
+  return encode_message(msg).substr(4);
+}
+
+// ---- wire protocol: epoch-carrying frames + repair messages ----
 
 TEST(InvRepairMessageTest, InvalidateEpochRoundtrip) {
   const Message out = roundtrip(Message::invalidate(4, "GET /cgi-bin/r*", 7));
@@ -153,41 +163,49 @@ TEST(InvRepairMessageTest, InvalidateEpochRoundtrip) {
   EXPECT_EQ(out.epoch, 7u);
 }
 
-TEST(InvRepairMessageTest, LegacyInvalidateStaysByteIdentical) {
-  // Epoch 0 must not change the frame: type + sender + (len, pattern).
+TEST(InvRepairMessageTest, InvalidateFrameAlwaysCarriesEpoch) {
+  // type + sender + (len, pattern) + u64 epoch.
   const std::string pattern = "GET /cgi-bin/r*";
-  const std::string frame = encode_message(Message::invalidate(4, pattern, 0));
-  EXPECT_EQ(frame.size(), 4u + 1u + 4u + 4u + pattern.size());
-  const Message out = roundtrip(Message::invalidate(4, pattern, 0));
-  EXPECT_EQ(out.epoch, 0u);
+  const std::string frame = encode_message(Message::invalidate(4, pattern, 1));
+  EXPECT_EQ(frame.size(), 4u + 1u + 4u + 4u + pattern.size() + 8u);
+  const Message out = roundtrip(Message::invalidate(4, pattern, 1));
+  EXPECT_EQ(out.epoch, 1u);
   EXPECT_EQ(out.key, pattern);
 }
 
-TEST(InvRepairMessageTest, HelloEpochsRoundtripAndLegacySize) {
-  const std::string plain = encode_message(Message::hello(3));
-  EXPECT_EQ(plain.size(), 4u + 1u + 4u) << "plain HELLO must stay minimal";
+TEST(InvRepairMessageTest, EpochZeroRejected) {
+  // Epoch 0 would slip past the receiver's replay filter, on either path.
+  // (A kInvalidate cut before its epoch: TruncatedRepairFramesRejected.)
+  EXPECT_FALSE(
+      decode_message(payload_of(Message::invalidate(4, "GET /x*", 0))).is_ok());
+  EXPECT_FALSE(decode_message(payload_of(Message::inv_sync_resp(
+                                  0, {{1, 2, "GET /a*"}, {1, 0, "GET /b*"}},
+                                  false)))
+                   .is_ok());
+}
 
+TEST(InvRepairMessageTest, HelloEpochsRoundtripAndSize) {
+  // type + sender + u32 count + count × (u32 origin + u64 epoch).
+  EXPECT_EQ(encode_message(Message::hello(3, {})).size(), 4u + 1u + 4u + 4u);
   const core::EpochVector epochs = {{0, 5}, {2, 19}};
-  const Message out = roundtrip(Message::hello_with_epochs(3, epochs));
+  EXPECT_EQ(encode_message(Message::hello(3, epochs)).size(),
+            4u + 1u + 4u + 4u + 2u * 12u);
+
+  const Message out = roundtrip(Message::hello(3, epochs));
   EXPECT_EQ(out.type, MsgType::kHello);
   EXPECT_EQ(out.sender, 3u);
   EXPECT_EQ(out.epochs, epochs);
-
-  const Message legacy = roundtrip(Message::hello(3));
-  EXPECT_TRUE(legacy.epochs.empty());
 }
 
 TEST(InvRepairMessageTest, DigestRoundtrip) {
   const core::EpochVector epochs = {{1, 2}};
-  const Message with = roundtrip(Message::make_digest(1, epochs, true,
-                                                      0xDEADBEEFCAFEF00DULL));
-  EXPECT_EQ(with.type, MsgType::kDigest);
-  EXPECT_EQ(with.epochs, epochs);
-  EXPECT_TRUE(with.has_digest);
-  EXPECT_EQ(with.digest, 0xDEADBEEFCAFEF00DULL);
-
-  const Message without = roundtrip(Message::make_digest(1, epochs, false, 0));
-  EXPECT_FALSE(without.has_digest);
+  const Message out =
+      roundtrip(Message::make_digest(1, epochs, 0xDEADBEEFCAFEF00DULL));
+  EXPECT_EQ(out.type, MsgType::kDigest);
+  EXPECT_EQ(out.epochs, epochs);
+  EXPECT_EQ(out.digest, 0xDEADBEEFCAFEF00DULL);
+  // A query-mode digest (an empty set) still ships the u64: 0.
+  EXPECT_EQ(roundtrip(Message::make_digest(1, epochs, 0)).digest, 0u);
 }
 
 TEST(InvRepairMessageTest, InvSyncRoundtrip) {
@@ -217,7 +235,9 @@ TEST(InvRepairMessageTest, InvSyncRespRoundtrip) {
 
 TEST(InvRepairMessageTest, TruncatedRepairFramesRejected) {
   for (const Message& msg :
-       {Message::make_digest(1, {{0, 3}}, true, 42),
+       {Message::make_digest(1, {{0, 3}}, 42),
+        Message::hello(3, {{0, 5}, {2, 19}}),
+        Message::invalidate(4, "GET /x*", 7),
         Message::inv_sync(2, {{0, 1}}),
         Message::inv_sync_resp(0, {{1, 2, "GET /x*"}}, false)}) {
     const std::string payload = std::string(encode_message(msg)).substr(4);
@@ -288,8 +308,11 @@ TEST(ManagerEpochTest, ReplayedPeerInvalidateIsIdempotent) {
   // ... and a replay of the SAME (origin, epoch) frame must not kill it.
   EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/r*", 0, 1), 0u);
   EXPECT_TRUE(manager.store().contains("GET /cgi-bin/r?q=1"));
-  // A legacy (epoch 0) frame has no replay identity: it always applies.
-  EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/r*", 0, 0), 1u);
+  // Epoch 0 has no replay identity, so it is never applied.
+  EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/r*", 0, 0), 0u);
+  EXPECT_TRUE(manager.store().contains("GET /cgi-bin/r?q=1"));
+  // The origin's next epoch applies as usual.
+  EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/r*", 0, 2), 1u);
 }
 
 TEST(ManagerEpochTest, GapPullAppliesMissedInvalidationsOnce) {
