@@ -132,6 +132,9 @@ int main(int argc, char** argv) {
   if (!node.value()->drain()) {
     std::printf("drain timed out; closing remaining connections\n");
   }
+  // CGI children lead their own process groups, so the signal that stopped
+  // this process never reached them; kill those a timed-out drain left.
+  cgi::kill_live_process_groups();
   std::printf("shutting down...\n");
   node.value()->stop();
   return 0;

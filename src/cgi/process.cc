@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <mutex>
 #include <optional>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "net/fd.h"
@@ -88,7 +90,19 @@ Status errno_status(StatusCode code, const char* what, int err) {
   return Status(code, std::string(what) + ": " + std::strerror(err));
 }
 
+/// Process groups of the CGI children not yet reaped. A group id is the
+/// leader's pid, which cannot be reused while the leader is unreaped, so a
+/// registered id always names this process's own CGI.
+std::mutex g_groups_mutex;
+std::unordered_set<pid_t> g_live_groups;
+
 }  // namespace
+
+std::size_t kill_live_process_groups() {
+  std::lock_guard<std::mutex> lock(g_groups_mutex);
+  for (const pid_t pgid : g_live_groups) ::kill(-pgid, SIGKILL);
+  return g_live_groups.size();
+}
 
 Result<ProcessResult> run_cgi_process(const std::string& executable,
                                       const http::Request& request,
@@ -127,10 +141,15 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
 
   // The child starts with no signal blocked, and with default SIGPIPE and
   // SIGCHLD even where the server ignores them (ForkingServer ignores
-  // SIGCHLD to auto-reap its per-connection children).
+  // SIGCHLD to auto-reap its per-connection children). It leads its own
+  // process group, so a kill at the deadline also reaches whatever the
+  // script started itself (a `sleep` would otherwise outlive it and hold
+  // the output pipe open).
   posix_spawnattr_t attr;
   posix_spawnattr_init(&attr);
-  posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETSIGMASK | POSIX_SPAWN_SETSIGDEF);
+  posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETSIGMASK | POSIX_SPAWN_SETSIGDEF |
+                                      POSIX_SPAWN_SETPGROUP);
+  posix_spawnattr_setpgroup(&attr, 0);
   sigset_t signals;
   sigemptyset(&signals);
   posix_spawnattr_setsigmask(&attr, &signals);
@@ -157,6 +176,10 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
     // than through a child that exits; report it as the shell does.
     result.exit_code = 127;
     return result;
+  }
+  {
+    std::lock_guard<std::mutex> lock(g_groups_mutex);
+    g_live_groups.insert(pid);
   }
 
   // The body is written inside the deadline loop, through a non-blocking
@@ -222,7 +245,11 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
   // A child still reading stdin sees EOF rather than waiting on us forever.
   child_stdin.reset();
 
-  if (result.timed_out || result.oversized) ::kill(pid, SIGKILL);
+  if (result.timed_out || result.oversized) ::kill(-pid, SIGKILL);
+  {
+    std::lock_guard<std::mutex> lock(g_groups_mutex);
+    g_live_groups.erase(pid);
+  }
   int wstatus = 0;
   while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
   }

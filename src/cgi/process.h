@@ -43,12 +43,18 @@ class ProcessCgi final : public CgiHandler {
 struct ProcessResult {
   int exit_code = -1;
   std::string stdout_data;
-  bool timed_out = false;   ///< deadline hit; child was SIGKILLed
+  bool timed_out = false;   ///< deadline hit; child's group was SIGKILLed
   bool oversized = false;   ///< output exceeded max_output_bytes; killed
 };
 
 Result<ProcessResult> run_cgi_process(const std::string& executable,
                                       const http::Request& request,
                                       const ProcessOptions& options);
+
+/// Each CGI child leads its own process group, out of reach of a signal
+/// sent to the server's group. SIGKILLs every group whose leader is still
+/// running (the server's stop path calls this once requests are drained);
+/// returns how many groups were signalled.
+std::size_t kill_live_process_groups();
 
 }  // namespace swala::cgi

@@ -346,8 +346,9 @@ class NodeGroup final : public core::CooperationBus {
   /// Enqueues HELLO probes to dead peers whose probe deadline has passed.
   void probe_dead_peers();
 
-  /// Re-announces every locally cached entry to one peer (resync).
-  void push_state_to(PeerLink* link);
+  /// Re-announces to one peer the cached entries it keeps a record of
+  /// (CacheManager::resync_for; `joining` = just admitted).
+  void push_state_to(PeerLink* link, bool joining = false);
 
   /// A HELLO carrying this node's invalidation high-water epochs (an empty
   /// vector before a manager is attached).

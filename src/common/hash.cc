@@ -99,15 +99,18 @@ bool HashRing::contains(std::uint32_t node) const {
   return std::binary_search(nodes_.begin(), nodes_.end(), node);
 }
 
-std::uint32_t HashRing::owner_of(std::string_view key) const {
-  if (points_.empty()) return kNoOwner;
+std::uint32_t HashRing::owner_of(std::string_view key,
+                                 std::uint32_t skip) const {
   const std::uint64_t h = mix64(fnv1a64(key));
   // First point strictly after the key's hash, wrapping to the start.
   auto it = std::upper_bound(
       points_.begin(), points_.end(), h,
       [](std::uint64_t value, const auto& p) { return value < p.first; });
-  if (it == points_.end()) it = points_.begin();
-  return it->second;
+  for (std::size_t n = points_.size(); n > 0; --n, ++it) {
+    if (it == points_.end()) it = points_.begin();
+    if (it->second != skip) return it->second;
+  }
+  return kNoOwner;
 }
 
 }  // namespace swala

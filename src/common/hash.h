@@ -63,8 +63,11 @@ class HashRing {
 
   bool contains(std::uint32_t node) const;
 
-  /// The member owning `key`, or kNoOwner when the ring is empty.
-  std::uint32_t owner_of(std::string_view key) const;
+  /// The member owning `key`, or kNoOwner when the ring is empty. With
+  /// `skip` set: the owner once `skip` leaves (the next point clockwise of
+  /// another member), as on a copy with `skip` removed but without the copy.
+  std::uint32_t owner_of(std::string_view key,
+                         std::uint32_t skip = kNoOwner) const;
 
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_points() const { return points_.size(); }

@@ -34,7 +34,10 @@ ConsistencyReport check_store_directory_consistency(
     const CacheStore& store, const CacheDirectory& directory) {
   ConsistencyReport report;
   auto store_keys = store.keys();
-  auto dir_keys = directory.keys_at(directory.self());
+  std::vector<std::string> dir_keys;
+  for (auto& meta : directory.metas_at(directory.self())) {
+    dir_keys.push_back(std::move(meta.key));
+  }
   report.store_entries = store_keys.size();
   report.directory_entries = dir_keys.size();
 
@@ -157,7 +160,6 @@ ClusterConsistencyReport check_cluster_consistency(
   for (std::size_t i = 0; i < managers.size(); ++i) {
     const CacheManager* viewer = managers[i];
     if (viewer == nullptr) continue;
-    if (viewer->directory_mode() == DirectoryMode::kQuery) continue;
     for (std::size_t j = 0; j < managers.size(); ++j) {
       const CacheManager* subject = managers[j];
       if (i == j || subject == nullptr) continue;
@@ -169,22 +171,18 @@ ClusterConsistencyReport check_cluster_consistency(
       // peer off and the rejoin resync will rebuild it.
       if (viewer->directory().quarantined(subject_id)) continue;
       // Ground truth: what the subject actually caches right now,
-      // restricted to the keys this viewer is responsible for tracking.
+      // restricted to the keys this viewer keeps a record of; the view
+      // skips mis-routed records the viewer is not responsible for.
+      const NodeId viewer_id = static_cast<NodeId>(i);
       std::unordered_set<std::string> truth;
       for (const auto& key : subject->store().keys()) {
-        if (viewer->directory_mode() == DirectoryMode::kPartitioned &&
-            subject->ring_owner_of(key) != static_cast<NodeId>(i)) {
-          continue;
-        }
-        truth.insert(key);
+        if (subject->holds_record(viewer_id, key)) truth.insert(key);
       }
       std::unordered_set<std::string> view;
-      for (const auto& key : viewer->directory().keys_at(subject_id)) {
-        if (viewer->directory_mode() == DirectoryMode::kPartitioned &&
-            viewer->ring_owner_of(key) != static_cast<NodeId>(i)) {
-          continue;  // mis-routed record; not this viewer's responsibility
+      for (auto& meta : viewer->directory().metas_at(subject_id)) {
+        if (viewer->holds_record(viewer_id, meta.key)) {
+          view.insert(std::move(meta.key));
         }
-        view.insert(key);
       }
       NodeDrift d;
       d.viewer = static_cast<NodeId>(i);

@@ -280,17 +280,6 @@ std::size_t CacheDirectory::size() const {
   return total;
 }
 
-std::vector<std::string> CacheDirectory::keys_at(NodeId node) const {
-  std::vector<std::string> out;
-  if (node >= tables_.size()) return out;
-  const Table& table = *tables_[node];
-  std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
-                                                              : table.mutex);
-  out.reserve(table.entries.size());
-  for (const auto& [key, slot] : table.entries) out.push_back(key);
-  return out;
-}
-
 std::vector<EntryMeta> CacheDirectory::metas_at(NodeId node) const {
   std::vector<EntryMeta> out;
   if (node >= tables_.size()) return out;
@@ -299,20 +288,6 @@ std::vector<EntryMeta> CacheDirectory::metas_at(NodeId node) const {
                                                               : table.mutex);
   out.reserve(table.entries.size());
   for (const auto& [key, slot] : table.entries) out.push_back(slot->meta);
-  return out;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-CacheDirectory::key_versions_at(NodeId node) const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  if (node >= tables_.size()) return out;
-  const Table& table = *tables_[node];
-  std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
-                                                              : table.mutex);
-  out.reserve(table.entries.size());
-  for (const auto& [key, slot] : table.entries) {
-    out.emplace_back(key, slot->meta.version);
-  }
   return out;
 }
 

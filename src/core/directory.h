@@ -121,18 +121,10 @@ class CacheDirectory {
   /// Entries in one node's table.
   std::size_t table_size(NodeId node) const;
 
-  /// All keys in one node's table, including expired-but-unpurged entries
-  /// (membership view, for consistency cross-checks against the store).
-  std::vector<std::string> keys_at(NodeId node) const;
-
-  /// (key, version) pairs in one node's table, including expired-but-
-  /// unpurged entries (anti-entropy digest input; version drift matters).
-  std::vector<std::pair<std::string, std::uint64_t>> key_versions_at(
-      NodeId node) const;
-
-  /// Full metas in one node's table, including expired-but-unpurged entries
-  /// (membership handoff: a decommissioning owner ships its directory
-  /// partition to the successor as whole records).
+  /// Full metas in one node's table, including expired-but-unpurged entries:
+  /// the membership view that consistency checks compare with the store,
+  /// the anti-entropy digest input (version drift matters), and the records
+  /// a departing owner ships as its partition.
   std::vector<EntryMeta> metas_at(NodeId node) const;
 
   NodeId self() const { return self_; }

@@ -15,26 +15,14 @@ CacheManager::CacheManager(NodeId self, std::size_t num_nodes,
       options_(std::move(options)),
       clock_(clock),
       bus_(bus),
-      ring_(options_.ring_seed, options_.ring_vnodes),
+      placement_(Placement::make(options_.directory_mode, this)),
+      // The ring covers the initially active membership; member_joined /
+      // member_left resize it at runtime. An *unplanned* dead owner still
+      // quarantines its key range instead: it handed nothing off.
+      membership_(self, num_nodes, options_.initial_members,
+                  placement_->uses_ring(), options_.ring_seed,
+                  options_.ring_vnodes),
       inv_log_(options_.inv_log_entries) {
-  if (options_.initial_members.empty()) {
-    members_.reserve(num_nodes);
-    for (std::size_t i = 0; i < num_nodes; ++i) {
-      members_.push_back(static_cast<NodeId>(i));
-    }
-  } else {
-    members_ = options_.initial_members;
-    std::sort(members_.begin(), members_.end());
-    members_.erase(std::unique(members_.begin(), members_.end()),
-                   members_.end());
-  }
-  if (options_.directory_mode == DirectoryMode::kPartitioned) {
-    // The ring covers the initially active membership; member_joined /
-    // member_left resize it at runtime (only remapped ranges migrate,
-    // under a dual-read window). An *unplanned* dead owner still
-    // quarantines its key range instead — it handed nothing off.
-    for (const NodeId n : members_) ring_.add_node(n);
-  }
   std::unique_ptr<StorageBackend> backend;
   if (options_.disk_dir.empty()) {
     backend = std::make_unique<MemoryBackend>();
@@ -99,43 +87,13 @@ LookupResult CacheManager::lookup_impl(http::Method method,
   } else if (dir_hit) {
     // Remote hit advertised by a local peer table (replicated mode, or a
     // partitioned owner serving keys it also caches knowledge of).
-    if (fetch_hit_from(&out, *dir_hit, deadline,
-                       FalseHitSource::kLocalTable)) {
-      return out;
+    const Fetch fetched = fetch_hit_from(&out, *dir_hit, deadline);
+    if (fetched == Fetch::kHit) return out;
+    if (fetched == Fetch::kFalseHit) {
+      directory_->apply_erase(dir_hit->owner, dir_hit->key);
     }
-  } else if (options_.directory_mode == DirectoryMode::kPartitioned) {
-    // No local knowledge: ask the key's ring owner for the directory entry.
-    // A quarantined (dead) owner takes its key range with it — fall through
-    // to local execution, exactly like the dead-peer fetch path. During a
-    // ring transition (dual-read window) the remapped range may not have
-    // migrated yet, so probe the pre-transition owner first; a miss there
-    // falls through to the current owner, so lookups never miss mid-move.
-    const NodeId owner_node = ring_owner_of(key.text);
-    const NodeId prev_owner = prev_ring_owner_of(key.text);
-    if (prev_owner != owner_node) {
-      dual_read_probes_.fetch_add(1, std::memory_order_relaxed);
-      if (probe_dir_owner(&out, prev_owner, key.text, deadline)) return out;
-    }
-    if (probe_dir_owner(&out, owner_node, key.text, deadline)) return out;
-  } else if (options_.directory_mode == DirectoryMode::kQuery &&
-             bus_ != nullptr) {
-    // No directory state anywhere: probe the peers (ICP-style), bounded by
-    // the transport's query timeout and the request deadline.
-    peer_queries_.fetch_add(1, std::memory_order_relaxed);
-    const int budget = deadline != nullptr && !deadline->unlimited()
-                           ? deadline->budget_ms(0)
-                           : 0;
-    auto entry = bus_->query_peers(key.text, budget);
-    if (entry && entry.value().owner != self_) {
-      peer_query_hits_.fetch_add(1, std::memory_order_relaxed);
-      EntryMeta meta = std::move(entry.value());
-      meta.key = key.text;
-      if (fetch_hit_from(&out, meta, deadline, FalseHitSource::kProbe)) {
-        return out;
-      }
-    }
-    // Timeouts and all-miss answers both fall back to local execution; the
-    // probe was an optimization, not a dependency.
+  } else if (placement_->probe(&out, key.text, deadline)) {
+    return out;
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -143,10 +101,10 @@ LookupResult CacheManager::lookup_impl(http::Method method,
   return finish_miss(std::move(out), key.text, deadline);
 }
 
-bool CacheManager::fetch_hit_from(LookupResult* out, const EntryMeta& meta,
-                                  const Deadline* deadline,
-                                  FalseHitSource source) {
-  if (bus_ == nullptr) return false;
+CacheManager::Fetch CacheManager::fetch_hit_from(LookupResult* out,
+                                                 const EntryMeta& meta,
+                                                 const Deadline* deadline) {
+  if (bus_ == nullptr) return Fetch::kFailed;
   auto remote = deadline != nullptr && !deadline->unlimited()
                     ? bus_->fetch_remote(meta.owner, meta.key,
                                          deadline->budget_ms(0))
@@ -157,138 +115,21 @@ bool CacheManager::fetch_hit_from(LookupResult* out, const EntryMeta& meta,
     out->result = std::move(remote.value());
     out->remote = true;
     out->owner = meta.owner;
-    return true;
+    return Fetch::kHit;
   }
   if (remote.status().code() == StatusCode::kNotFound) {
     // False hit (§4.2): the entry was deleted at the caching node before
     // the directory caught up. Execute locally, per Figure 2.
     false_hits_.fetch_add(1, std::memory_order_relaxed);
-    switch (source) {
-      case FalseHitSource::kLocalTable:
-        directory_->apply_erase(meta.owner, meta.key);
-        break;
-      case FalseHitSource::kRingOwner: {
-        directory_->apply_erase(meta.owner, meta.key);
-        const NodeId owner_node = ring_owner_of(meta.key);
-        if (owner_node != self_) {
-          bus_->send_owner_erase(owner_node, meta.owner, meta.key, 0);
-        }
-        break;
-      }
-      case FalseHitSource::kProbe:
-        break;  // no durable record to clean up
-    }
-  } else {
-    // Timeout, dead peer, torn connection: degrade gracefully by running
-    // the CGI locally instead of failing the client request.
-    fallback_executions_.fetch_add(1, std::memory_order_relaxed);
-    SWALA_LOG(Warn) << "remote fetch from node " << meta.owner << " failed ("
-                    << remote.status().to_string()
-                    << "); falling back to local execution";
+    return Fetch::kFalseHit;
   }
-  return false;
-}
-
-bool CacheManager::probe_dir_owner(LookupResult* out, NodeId owner_node,
-                                   const std::string& key,
-                                   const Deadline* deadline) {
-  if (bus_ == nullptr || owner_node == self_ ||
-      directory_->quarantined(owner_node)) {
-    return false;
-  }
-  remote_dir_lookups_.fetch_add(1, std::memory_order_relaxed);
-  const int budget = deadline != nullptr && !deadline->unlimited()
-                         ? deadline->budget_ms(0)
-                         : 0;
-  auto entry = bus_->lookup_at_owner(owner_node, key, budget);
-  if (entry && entry.value().owner != self_) {
-    remote_dir_hits_.fetch_add(1, std::memory_order_relaxed);
-    EntryMeta meta = std::move(entry.value());
-    meta.key = key;  // defend against a lying/mis-keyed answer
-    return fetch_hit_from(out, meta, deadline, FalseHitSource::kRingOwner);
-  }
-  if (entry) {
-    // The owner advertises *us* as the caching node, but our store just
-    // said no: a stale record (our erase is still in flight, or was
-    // lost). Nudge the owner; the unversioned erase is the same weak-
-    // consistency tradeoff as the replicated false-hit cleanup.
-    bus_->send_owner_erase(owner_node, self_, key, 0);
-  } else if (entry.status().code() != StatusCode::kNotFound) {
-    fallback_executions_.fetch_add(1, std::memory_order_relaxed);
-    SWALA_LOG(Warn) << "directory lookup at owner " << owner_node
-                    << " failed (" << entry.status().to_string()
-                    << "); falling back to local execution";
-  }
-  return false;
-}
-
-NodeId CacheManager::ring_owner_of(const std::string& key) const {
-  if (options_.directory_mode != DirectoryMode::kPartitioned) return self_;
-  std::shared_lock lock(membership_mutex_);
-  const auto owner = ring_.owner_of(key);
-  return owner == HashRing::kNoOwner ? self_ : static_cast<NodeId>(owner);
-}
-
-NodeId CacheManager::prev_ring_owner_of(const std::string& key) const {
-  if (options_.directory_mode != DirectoryMode::kPartitioned) return self_;
-  std::shared_lock lock(membership_mutex_);
-  if (!prev_ring_) {
-    // No window open: report the *current* owner so the caller's
-    // prev != current comparison reads "no dual read needed".
-    const auto owner = ring_.owner_of(key);
-    return owner == HashRing::kNoOwner ? self_ : static_cast<NodeId>(owner);
-  }
-  const auto owner = prev_ring_->owner_of(key);
-  return owner == HashRing::kNoOwner ? self_ : static_cast<NodeId>(owner);
-}
-
-std::optional<EntryMeta> CacheManager::answer_query(
-    const std::string& key) const {
-  if (options_.directory_mode == DirectoryMode::kQuery) {
-    return directory_->lookup_at(self_, key);
-  }
-  return directory_->lookup(key);
-}
-
-void CacheManager::announce_insert(const EntryMeta& meta) {
-  if (bus_ == nullptr) return;
-  // A node that is not (yet) a member of its own view serves stand-alone:
-  // no directory chatter until the join protocol admits it. Peers would
-  // wipe its table on admission anyway (member_joined clears it);
-  // adopt_membership re-announces the resident store at that point.
-  if (!is_member(self_)) return;
-  switch (options_.directory_mode) {
-    case DirectoryMode::kReplicated:
-      bus_->broadcast_insert(meta);
-      break;
-    case DirectoryMode::kPartitioned: {
-      const NodeId owner = ring_owner_of(meta.key);
-      if (owner != self_) bus_->send_owner_insert(owner, meta);
-      break;
-    }
-    case DirectoryMode::kQuery:
-      break;  // no remote directory state to keep current
-  }
-}
-
-bool CacheManager::announce_erase(const std::string& key,
-                                  std::uint64_t version) {
-  if (bus_ == nullptr) return false;
-  if (!is_member(self_)) return false;  // stand-alone until admitted
-  switch (options_.directory_mode) {
-    case DirectoryMode::kReplicated:
-      bus_->broadcast_erase(self_, key, version);
-      return true;
-    case DirectoryMode::kPartitioned: {
-      const NodeId owner = ring_owner_of(key);
-      if (owner == self_) return false;
-      bus_->send_owner_erase(owner, self_, key, version);
-      return true;
-    }
-    case DirectoryMode::kQuery:
-      return false;
-  }
-  return false;
+  // Timeout, dead peer, torn connection: degrade gracefully by running the
+  // CGI locally instead of failing the client request.
+  fallback_executions_.fetch_add(1, std::memory_order_relaxed);
+  SWALA_LOG(Warn) << "remote fetch from node " << meta.owner << " failed ("
+                  << remote.status().to_string()
+                  << "); falling back to local execution";
+  return Fetch::kFailed;
 }
 
 LookupResult CacheManager::finish_miss(LookupResult out, const std::string& key,
@@ -464,29 +305,35 @@ void CacheManager::complete(http::Method method, const http::Uri& uri,
   // the same section, so a concurrent re-insert of a victim key cannot be
   // erased with a stale version.
   std::lock_guard<std::mutex> commit(commit_mutex_);
-  std::vector<EntryMeta> evicted;
-  auto inserted =
-      store_->insert(key, output.body, exec_seconds, rule.ttl_seconds,
-                     output.content_type, output.http_status, &evicted);
+  commit_insert(key, output.body, exec_seconds, rule.ttl_seconds,
+                output.content_type, output.http_status);
+}
 
+bool CacheManager::commit_insert(const CacheKey& key, std::string_view body,
+                                 double cost_seconds, double ttl_seconds,
+                                 const std::string& content_type,
+                                 int http_status) {
+  std::vector<EntryMeta> evicted;
+  auto inserted = store_->insert(key, body, cost_seconds, ttl_seconds,
+                                 content_type, http_status, &evicted);
   for (const auto& victim : evicted) {
     directory_->apply_erase(self_, victim.key, victim.version);
     if (announce_erase(victim.key, victim.version)) {
       evictions_broadcast_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-
   record_insert_outcome(!inserted &&
                         inserted.status().code() == StatusCode::kIoError);
   if (!inserted) {
     SWALA_LOG(Debug) << "insert rejected: " << inserted.status().to_string();
     if (!evicted.empty()) ++commit_seq_;
-    return;
+    return false;
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   directory_->apply_insert(inserted.value());
   announce_insert(inserted.value());
   ++commit_seq_;
+  return true;
 }
 
 void CacheManager::retire_dead_entry(const std::string& key) {
@@ -639,140 +486,77 @@ void CacheManager::on_peer_recovered(NodeId peer) {
 
 // ---- Dynamic membership (PR10) ----
 
-std::uint64_t CacheManager::membership_epoch() const {
-  return membership_epoch_.load(std::memory_order_relaxed);
-}
-
-std::vector<NodeId> CacheManager::active_members() const {
-  std::shared_lock lock(membership_mutex_);
-  return members_;
-}
-
-bool CacheManager::is_member(NodeId node) const {
-  std::shared_lock lock(membership_mutex_);
-  return std::binary_search(members_.begin(), members_.end(), node);
-}
-
-CacheManager::HandoffStats CacheManager::member_joined(NodeId node) {
+CacheManager::HandoffStats CacheManager::apply_transition(NodeId node,
+                                                          bool join) {
   HandoffStats stats;
-  bool changed = false;
-  bool ring_changed = false;
-  HashRing old_ring(options_.ring_seed, options_.ring_vnodes);
-  HashRing new_ring(options_.ring_seed, options_.ring_vnodes);
-  {
-    std::unique_lock lock(membership_mutex_);
-    const auto pos = std::lower_bound(members_.begin(), members_.end(), node);
-    if (pos == members_.end() || *pos != node) {
-      members_.insert(pos, node);
-      changed = true;
-    }
-    if (options_.directory_mode == DirectoryMode::kPartitioned &&
-        !ring_.contains(node)) {
-      old_ring = ring_;
-      prev_ring_ = ring_;  // open the dual-read window
-      ring_.add_node(node);
-      new_ring = ring_;
-      changed = ring_changed = true;
-    }
-  }
-  if (!changed) return stats;
-  membership_epoch_.fetch_add(1, std::memory_order_relaxed);
+  const auto change = membership_.transition(node, join);
+  if (!change) return stats;
   membership_transitions_.fetch_add(1, std::memory_order_relaxed);
   if (node != self_) {
-    // Drop any stale state from a previous life of this slot; a joining
-    // member must not start its new life quarantined.
+    // A joiner drops its slot's previous life; a graceful leaver handed its
+    // state off. Neither is quarantined (that is the unplanned-death path).
     directory_->clear_table(node);
     directory_->set_quarantined(node, false);
   }
-  if (ring_changed) stats = reannounce_remapped(old_ring, new_ring);
+  if (change->before && bus_ != nullptr) {
+    // Forward the remapped slice. Own entries go to their new owner; the
+    // stale record at the old one keeps dual-read lookups hitting until it
+    // ages out via expiry or a version-guarded erase.
+    for (const auto& meta : store_->resident_metas()) {
+      const NodeId to = membership_.owner_on(*change->after, meta.key);
+      if (to == self_ || to == membership_.owner_on(*change->before, meta.key)) {
+        continue;
+      }
+      bus_->send_owner_insert(to, meta);
+      ++stats.entries;
+    }
+    stats.records = forward_partition(*change->before, *change->after);
+    handoff_records_sent_.fetch_add(stats.records + stats.entries,
+                                    std::memory_order_relaxed);
+  }
   SWALA_LOG(Info) << "node " << self_ << ": member " << node
-                  << " joined (epoch " << membership_epoch() << "); forwarded "
+                  << (join ? " joined" : " left") << " (epoch "
+                  << membership_epoch() << "); forwarded "
                   << stats.records + stats.entries << " remapped records";
   return stats;
 }
 
-CacheManager::HandoffStats CacheManager::member_left(NodeId node) {
-  HandoffStats stats;
-  if (node == self_) return stats;  // self-removal goes via decommission
-  bool changed = false;
-  bool ring_changed = false;
-  HashRing old_ring(options_.ring_seed, options_.ring_vnodes);
-  HashRing new_ring(options_.ring_seed, options_.ring_vnodes);
-  {
-    std::unique_lock lock(membership_mutex_);
-    const auto pos = std::lower_bound(members_.begin(), members_.end(), node);
-    if (pos != members_.end() && *pos == node) {
-      members_.erase(pos);
-      changed = true;
-    }
-    if (options_.directory_mode == DirectoryMode::kPartitioned &&
-        ring_.contains(node)) {
-      old_ring = ring_;
-      prev_ring_ = ring_;  // open the dual-read window
-      ring_.remove_node(node);
-      new_ring = ring_;
-      changed = ring_changed = true;
+std::size_t CacheManager::forward_partition(const HashRing& before,
+                                            const HashRing& after,
+                                            NodeId leaving) {
+  // Own entries are not among them: the caller re-announces or ships those.
+  std::size_t records = 0;
+  for (NodeId t = 0; t < directory_->num_nodes(); ++t) {
+    if (t == self_) continue;
+    for (const auto& meta : directory_->metas_at(t)) {
+      if (membership_.owner_on(before, meta.key) != self_) continue;
+      const NodeId to = membership_.owner_on(after, meta.key, leaving);
+      if (to == self_) continue;
+      bus_->send_owner_insert(to, meta);
+      ++records;
     }
   }
-  if (!changed) return stats;
-  membership_epoch_.fetch_add(1, std::memory_order_relaxed);
-  membership_transitions_.fetch_add(1, std::memory_order_relaxed);
-  // Graceful leave, not death: clear the table without quarantining (the
-  // leaver handed its state off; quarantine is the unplanned-death path).
-  directory_->clear_table(node);
-  directory_->set_quarantined(node, false);
-  if (ring_changed) stats = reannounce_remapped(old_ring, new_ring);
-  SWALA_LOG(Info) << "node " << self_ << ": member " << node
-                  << " left (epoch " << membership_epoch() << "); forwarded "
-                  << stats.records + stats.entries << " remapped records";
-  return stats;
+  return records;
 }
 
 void CacheManager::adopt_membership(std::uint64_t epoch,
                                     const std::vector<NodeId>& members) {
-  std::vector<NodeId> sorted(members);
-  sorted.push_back(self_);  // whatever the responder says, we exist
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  bool changed = false;
-  {
-    std::unique_lock lock(membership_mutex_);
-    if (sorted != members_) {
-      if (options_.directory_mode == DirectoryMode::kPartitioned) {
-        prev_ring_ = ring_;  // dual read across the adopted change
-        HashRing fresh(options_.ring_seed, options_.ring_vnodes);
-        for (const NodeId n : sorted) fresh.add_node(n);
-        ring_ = std::move(fresh);
-      }
-      members_ = std::move(sorted);
-      changed = true;
+  if (!membership_.adopt(epoch, members)) return;
+  membership_transitions_.fetch_add(1, std::memory_order_relaxed);
+  // Introduce the local cache to the adopted cluster: entries cached while
+  // stand-alone (or under the old view) have no records at the new owners,
+  // and peers wiped this node's table on admission.
+  std::size_t announced = 0;
+  if (bus_ != nullptr) {
+    for (const auto& meta : store_->resident_metas()) {
+      announce_insert(meta);
+      ++announced;
     }
   }
-  // Advance to at least the responder's epoch: we were not around for the
-  // transitions it already applied.
-  auto current = membership_epoch_.load(std::memory_order_relaxed);
-  while (epoch > current &&
-         !membership_epoch_.compare_exchange_weak(current, epoch,
-                                                  std::memory_order_relaxed)) {
-  }
-  if (changed) {
-    membership_transitions_.fetch_add(1, std::memory_order_relaxed);
-    // Introduce the local cache to the adopted cluster. Entries cached
-    // while stand-alone (or under the old view) have no records at the
-    // new directory owners — and peers wiped this node's table on
-    // admission — so without this they would be invisible forever.
-    std::size_t announced = 0;
-    if (bus_ != nullptr) {
-      for (const auto& meta : store_->resident_metas()) {
-        announce_insert(meta);
-        ++announced;
-      }
-    }
-    handoff_records_sent_.fetch_add(announced, std::memory_order_relaxed);
-    SWALA_LOG(Info) << "node " << self_ << ": adopted membership view ("
-                    << members.size() << " members, epoch " << epoch
-                    << "); announced " << announced << " resident entries";
-  }
+  handoff_records_sent_.fetch_add(announced, std::memory_order_relaxed);
+  SWALA_LOG(Info) << "node " << self_ << ": adopted membership view ("
+                  << members.size() << " members, epoch " << epoch
+                  << "); announced " << announced << " resident entries";
 }
 
 void CacheManager::begin_decommission() {
@@ -786,49 +570,14 @@ bool CacheManager::decommissioning() const {
   return decommissioning_.load(std::memory_order_relaxed);
 }
 
-NodeId CacheManager::successor_for(const std::string& key) const {
-  std::shared_lock lock(membership_mutex_);
-  if (options_.directory_mode == DirectoryMode::kPartitioned) {
-    HashRing reduced = ring_;
-    reduced.remove_node(self_);
-    const auto owner = reduced.owner_of(key);
-    return owner == HashRing::kNoOwner ? self_ : static_cast<NodeId>(owner);
-  }
-  // Replicated/query: deterministic key-hash spread over the survivors.
-  std::size_t others = 0;
-  for (const NodeId n : members_) {
-    if (n != self_) ++others;
-  }
-  if (others == 0) return self_;
-  std::size_t index = mix64(fnv1a64(key)) % others;
-  for (const NodeId n : members_) {
-    if (n == self_) continue;
-    if (index-- == 0) return n;
-  }
-  return self_;  // unreachable
-}
-
 CacheManager::HandoffStats CacheManager::handoff_state(
     std::uint64_t batch_bytes) {
   HandoffStats stats;
   if (bus_ == nullptr) return stats;
-  // Successor placement under the ring with self removed, computed once
-  // (partitioned); replicated/query fall back to successor_for's key-hash
-  // spread. begin_decommission already stopped inserts, so the snapshot
-  // only races expiry (fetch() re-checks and skips).
-  std::optional<HashRing> reduced;
-  if (options_.directory_mode == DirectoryMode::kPartitioned) {
-    std::shared_lock lock(membership_mutex_);
-    reduced = ring_;
-  }
-  if (reduced) reduced->remove_node(self_);
-  const auto successor = [&](const std::string& key) {
-    if (!reduced) return successor_for(key);
-    const auto owner = reduced->owner_of(key);
-    return owner == HashRing::kNoOwner ? self_ : static_cast<NodeId>(owner);
-  };
+  // begin_decommission already stopped inserts, so the snapshot only races
+  // expiry (fetch() re-checks and skips).
   for (const auto& meta : store_->resident_metas()) {
-    const NodeId succ = successor(meta.key);
+    const NodeId succ = successor_for(meta.key);
     if (succ == self_) continue;  // no survivor to take it
     auto cached = store_->fetch(meta.key);
     if (!cached) continue;  // expired between snapshot and read
@@ -840,23 +589,12 @@ CacheManager::HandoffStats CacheManager::handoff_state(
     bus_->send_handoff(succ, cached->meta, cached->data);
     ++stats.entries;
   }
-  if (reduced) {
+  if (membership_.keeps_ring()) {
     // Forward the directory partition this node owns to its post-removal
-    // owners. Records pointing at our own (departing) cache are skipped:
-    // those entries shipped above, and the successors' adoptions
-    // re-announce them with a live owner.
-    for (NodeId t = 0; t < directory_->num_nodes(); ++t) {
-      if (t == self_) continue;
-      for (const auto& meta : directory_->metas_at(t)) {
-        if (ring_owner_of(meta.key) != self_) continue;  // not our partition
-        const auto owner = reduced->owner_of(meta.key);
-        if (owner == HashRing::kNoOwner) continue;
-        const NodeId to = static_cast<NodeId>(owner);
-        if (to == self_) continue;
-        bus_->send_owner_insert(to, meta);
-        ++stats.records;
-      }
-    }
+    // owners. Records pointing at our own (departing) cache were shipped
+    // above, and the successors' adoptions re-announce them.
+    const HashRing ring = membership_.ring();
+    stats.records = forward_partition(ring, ring, /*leaving=*/self_);
   }
   handoff_entries_sent_.fetch_add(stats.entries, std::memory_order_relaxed);
   handoff_records_sent_.fetch_add(stats.records, std::memory_order_relaxed);
@@ -884,79 +622,12 @@ bool CacheManager::adopt_entry(const EntryMeta& meta, const std::string& body) {
   if (store_->peek(meta.key).has_value()) return false;
   CacheKey key;
   key.text = meta.key;
-  std::vector<EntryMeta> evicted;
-  auto inserted = store_->insert(key, body, meta.cost_seconds, ttl,
-                                 meta.content_type, meta.http_status,
-                                 &evicted);
-  for (const auto& victim : evicted) {
-    directory_->apply_erase(self_, victim.key, victim.version);
-    if (announce_erase(victim.key, victim.version)) {
-      evictions_broadcast_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  record_insert_outcome(!inserted &&
-                        inserted.status().code() == StatusCode::kIoError);
-  if (!inserted) {
-    if (!evicted.empty()) ++commit_seq_;
+  if (!commit_insert(key, body, meta.cost_seconds, ttl, meta.content_type,
+                     meta.http_status)) {
     return false;
   }
-  inserts_.fetch_add(1, std::memory_order_relaxed);
   handoff_entries_adopted_.fetch_add(1, std::memory_order_relaxed);
-  directory_->apply_insert(inserted.value());
-  announce_insert(inserted.value());
-  ++commit_seq_;
   return true;
-}
-
-void CacheManager::finish_ring_transition() {
-  std::unique_lock lock(membership_mutex_);
-  prev_ring_.reset();
-}
-
-bool CacheManager::ring_transition_active() const {
-  std::shared_lock lock(membership_mutex_);
-  return prev_ring_.has_value();
-}
-
-std::uint64_t CacheManager::ring_version() const {
-  std::shared_lock lock(membership_mutex_);
-  return ring_.version();
-}
-
-CacheManager::HandoffStats CacheManager::reannounce_remapped(
-    const HashRing& old_ring, const HashRing& new_ring) {
-  HandoffStats stats;
-  if (bus_ == nullptr) return stats;
-  const auto owner_in = [this](const HashRing& ring, const std::string& key) {
-    const auto owner = ring.owner_of(key);
-    return owner == HashRing::kNoOwner ? self_ : static_cast<NodeId>(owner);
-  };
-  // Cache-node side: re-announce own entries whose directory owner moved.
-  // The stale record at the old owner is left in place — during the
-  // dual-read window it is what keeps pre-transition readers hitting, and
-  // afterwards it ages out via expiry / version-guarded erase.
-  for (const auto& meta : store_->resident_metas()) {
-    const NodeId from = owner_in(old_ring, meta.key);
-    const NodeId to = owner_in(new_ring, meta.key);
-    if (from == to || to == self_) continue;
-    bus_->send_owner_insert(to, meta);
-    ++stats.entries;
-  }
-  // Owner side: directory partition records held for *other* nodes' caches
-  // that now belong to another owner (own entries are covered above).
-  for (NodeId t = 0; t < directory_->num_nodes(); ++t) {
-    if (t == self_) continue;
-    for (const auto& meta : directory_->metas_at(t)) {
-      if (owner_in(old_ring, meta.key) != self_) continue;
-      const NodeId to = owner_in(new_ring, meta.key);
-      if (to == self_) continue;
-      bus_->send_owner_insert(to, meta);
-      ++stats.records;
-    }
-  }
-  handoff_records_sent_.fetch_add(stats.records + stats.entries,
-                                  std::memory_order_relaxed);
-  return stats;
 }
 
 std::size_t CacheManager::apply_invalidation(const std::string& pattern,
@@ -1003,33 +674,27 @@ std::size_t CacheManager::apply_inv_sync(
   std::size_t applied = 0;
   {
     std::lock_guard<std::mutex> commit(commit_mutex_);
-    for (const auto& rec : entries) {
-      if (!inv_log_.admit(rec)) continue;  // replay: no-op
-      const auto dropped = store_->erase_matching(rec.pattern);
-      directory_->erase_matching(rec.pattern);
+    const auto drop = [this](const std::string& pattern) {
+      const auto dropped = store_->erase_matching(pattern);
+      directory_->erase_matching(pattern);
       // Announce the erases: survivors' peer tables were re-polluted by the
       // additions-only resync and must drop the stale records too.
-      for (const auto& meta : dropped) {
-        announce_erase(meta.key, meta.version);
-      }
-      ++applied;
-      inv_epoch_gaps_repaired_.fetch_add(1, std::memory_order_relaxed);
+      for (const auto& meta : dropped) announce_erase(meta.key, meta.version);
       invalidations_.fetch_add(dropped.size(), std::memory_order_relaxed);
       stale_serves_prevented_.fetch_add(dropped.size(),
                                         std::memory_order_relaxed);
+    };
+    for (const auto& rec : entries) {
+      if (!inv_log_.admit(rec)) continue;  // replay: no-op
+      drop(rec.pattern);
+      ++applied;
+      inv_epoch_gaps_repaired_.fetch_add(1, std::memory_order_relaxed);
     }
     if (truncated) {
       // The peer's log evicted records we needed. Conservatively drop
       // everything cached before the gap rather than stay stale forever.
-      const auto dropped = store_->erase_matching("*");
-      directory_->erase_matching("*");
-      for (const auto& meta : dropped) {
-        announce_erase(meta.key, meta.version);
-      }
+      drop("*");
       inv_overflow_purges_.fetch_add(1, std::memory_order_relaxed);
-      invalidations_.fetch_add(dropped.size(), std::memory_order_relaxed);
-      stale_serves_prevented_.fetch_add(dropped.size(),
-                                        std::memory_order_relaxed);
     }
     if (applied > 0 || truncated) ++commit_seq_;
   }
@@ -1040,66 +705,30 @@ std::size_t CacheManager::apply_inv_sync(
   return applied;
 }
 
-namespace {
-
-// Order-independent xor of mixed (key, version) terms: mix64 decorrelates
-// the terms so a single-bit version bump flips ~half the digest bits.
-std::uint64_t digest_of(
-    const std::vector<std::pair<std::string, std::uint64_t>>& pairs) {
+std::uint64_t CacheManager::digest_of(NodeId table, NodeId keeper,
+                                      std::size_t* entries) const {
+  // Order-independent xor of mixed (key, version) terms: mix64 decorrelates
+  // the terms so a single-bit version bump flips ~half the digest bits.
   std::uint64_t d = 0;
-  for (const auto& [key, version] : pairs) {
-    d ^= mix64(fnv1a64(key) ^ version * 0x9E3779B97F4A7C15ULL);
+  std::size_t n = 0;
+  for (const auto& meta : directory_->metas_at(table)) {
+    if (!holds_record(keeper, meta.key)) continue;
+    d ^= mix64(fnv1a64(meta.key) ^ meta.version * 0x9E3779B97F4A7C15ULL);
+    ++n;
   }
+  if (entries != nullptr) *entries = n;
   return d;
 }
 
-}  // namespace
-
-std::uint64_t CacheManager::digest_for_peer(NodeId peer,
-                                            std::size_t* entries) const {
-  std::vector<std::pair<std::string, std::uint64_t>> pairs;
-  switch (options_.directory_mode) {
-    case DirectoryMode::kReplicated:
-      // The peer mirrors our whole self table.
-      pairs = directory_->key_versions_at(self_);
-      break;
-    case DirectoryMode::kPartitioned: {
-      // The peer holds directory records for the subset of our store it
-      // owns on the ring.
-      for (auto& [key, version] : directory_->key_versions_at(self_)) {
-        if (ring_owner_of(key) == peer) pairs.emplace_back(std::move(key),
-                                                           version);
-      }
-      break;
-    }
-    case DirectoryMode::kQuery:
-      break;  // query mode keeps no peer state to compare
+CacheManager::Resync CacheManager::resync_for(NodeId peer,
+                                              bool joining) const {
+  Resync resync;
+  resync.owner_frames = membership_.keeps_ring();
+  if (joining && resync.owner_frames) return resync;
+  for (auto& meta : store_->resident_metas()) {
+    if (holds_record(peer, meta.key)) resync.records.push_back(std::move(meta));
   }
-  if (entries != nullptr) *entries = pairs.size();
-  return digest_of(pairs);
-}
-
-std::uint64_t CacheManager::digest_of_peer_table(NodeId peer,
-                                                 std::size_t* entries) const {
-  std::vector<std::pair<std::string, std::uint64_t>> pairs;
-  switch (options_.directory_mode) {
-    case DirectoryMode::kReplicated:
-      pairs = directory_->key_versions_at(peer);
-      break;
-    case DirectoryMode::kPartitioned: {
-      // Only the keys we own on the ring: a mis-routed kOwnerUpdate parked
-      // in our table must not cause a persistent mismatch storm.
-      for (auto& [key, version] : directory_->key_versions_at(peer)) {
-        if (ring_owner_of(key) == self_) pairs.emplace_back(std::move(key),
-                                                            version);
-      }
-      break;
-    }
-    case DirectoryMode::kQuery:
-      break;
-  }
-  if (entries != nullptr) *entries = pairs.size();
-  return digest_of(pairs);
+  return resync;
 }
 
 Status CacheManager::save_state(const std::string& manifest_path) {

@@ -26,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +36,7 @@
 #include "core/consistency.h"
 #include "core/directory.h"
 #include "core/inv_log.h"
+#include "core/membership.h"
 #include "core/rules.h"
 #include "core/store.h"
 #include "core/volume.h"
@@ -300,13 +300,8 @@ struct ManagerOptions {
   /// How directory state is shared across the group (see DirectoryMode).
   /// Every node must agree on the mode, seed and vnode count.
   DirectoryMode directory_mode = DirectoryMode::kReplicated;
-  /// Consistent-hash placement parameters (partitioned mode only). The ring
-  /// covers the *active* membership: initially `initial_members` (or all of
-  /// [0, num_nodes) when empty), then member_joined/member_left resize it —
-  /// only the remapped key ranges migrate, and a dual-read window (probe
-  /// the pre-transition owner first) covers the migration. A dead owner's
-  /// key range is still handled by quarantine + local-execution fallback,
-  /// not by resizing (an unplanned death hands nothing off).
+  /// Consistent-hash placement parameters (partitioned mode only): the ring
+  /// over the active membership (core/membership.h).
   std::uint64_t ring_seed = HashRing::kDefaultSeed;
   std::size_t ring_vnodes = HashRing::kDefaultVnodes;
   /// Active members at construction. Empty = every slot [0, num_nodes).
@@ -372,11 +367,11 @@ class CacheManager {
   /// Serves a peer's data request from the local store.
   Result<CachedResult> serve_peer_fetch(const std::string& key);
 
-  /// Answers a peer's kQuery / owner-lookup probe: who caches `key`?
-  /// Query mode answers from the self table alone (that is all the state
-  /// the mode keeps, and it keeps the probe O(1)); partitioned owners scan
-  /// every table (their partition is spread across per-cache-node tables).
-  std::optional<EntryMeta> answer_query(const std::string& key) const;
+  /// Answers a peer's kQuery / owner-lookup probe: who caches `key`? (Query
+  /// mode answers from the self table alone, other modes from every table.)
+  std::optional<EntryMeta> answer_query(const std::string& key) const {
+    return placement_->answer_query(key);
+  }
 
   /// Purge daemon tick: drop expired local entries, broadcast the erases.
   /// Also the durability heartbeat: checkpoints the manifest when
@@ -425,28 +420,41 @@ class CacheManager {
   std::size_t apply_inv_sync(const std::vector<InvalidationRecord>& entries,
                              bool truncated);
 
-  /// Order-independent xor digest of (key, version) pairs this node expects
-  /// `peer` to hold in its directory for us: replicated mode digests our
-  /// whole self table; partitioned mode digests the subset of our store
-  /// owned by `peer` on the ring; query mode keeps no peer state (0/empty).
-  /// `*entries` gets the number of pairs digested.
-  std::uint64_t digest_for_peer(NodeId peer, std::size_t* entries) const;
+  /// Order-independent xor digest of the (key, version) pairs this node
+  /// expects `peer` to hold in its directory for us: our self-table keys
+  /// that `holds_record(peer, key)` selects. `*entries` gets the number of
+  /// pairs digested.
+  std::uint64_t digest_for_peer(NodeId peer, std::size_t* entries) const {
+    return digest_of(self_, peer, entries);
+  }
 
-  /// The receiving side of the comparison: digest of what we actually hold
-  /// in our table for `peer` (replicated: table[peer]; partitioned:
-  /// table[peer] filtered to keys whose ring owner is us, so mis-routed
-  /// frames cannot cause a persistent mismatch).
-  std::uint64_t digest_of_peer_table(NodeId peer, std::size_t* entries) const;
+  /// The receiving side of the comparison: digest of our table for `peer`,
+  /// restricted by the same rule to the records we keep (a mis-routed
+  /// frame parked in the table cannot cause a persistent mismatch).
+  std::uint64_t digest_of_peer_table(NodeId peer, std::size_t* entries) const {
+    return digest_of(peer, self_, entries);
+  }
 
-  // ---- Dynamic membership (PR10) ----
-  //
-  // Capacity (directory tables, id space) is fixed at config time; the
-  // *active set* within [0, num_nodes) is mutable. A join activates a slot,
-  // a decommission deactivates one. In partitioned mode each transition
-  // resizes the consistent-hash ring: only the remapped key ranges migrate
-  // (targeted kOwnerUpdate forwarding), and until finish_ring_transition()
-  // lookups run a dual-read window — probe the pre-transition owner first,
-  // then the new one — so no lookup misses during migration.
+  /// The one placement rule: whether `peer` keeps a directory record of
+  /// `key` while this node caches it. Replicated: every member; partitioned:
+  /// the key's ring owner; query: nobody. Both digests and every resync are
+  /// built from it.
+  bool holds_record(NodeId peer, const std::string& key) const {
+    return placement_->holds_record(peer, key);
+  }
+
+  struct Resync {
+    std::vector<EntryMeta> records;  ///< resident entries the peer records
+    bool owner_frames = false;  ///< as kOwnerUpdate, not kInsert (ring)
+  };
+
+  /// What `peer` is re-sent after dropping its table of this node (rejoin,
+  /// kSyncReq): the resident entries `holds_record(peer, ·)` selects. None
+  /// for a `joining` peer under ring placement: member_joined forwarded its
+  /// slice already.
+  Resync resync_for(NodeId peer, bool joining) const;
+
+  // ---- Dynamic membership (the state lives in core/membership.h) ----
 
   /// What a membership transition or decommission handoff actually sent.
   struct HandoffStats {
@@ -457,34 +465,34 @@ class CacheManager {
   /// Monotonic count of membership transitions applied by this node. Two
   /// nodes that applied the same joins/leaves report the same epoch
   /// (carried on HELLO / kJoinAck / kDecommission for divergence checks).
-  std::uint64_t membership_epoch() const;
+  std::uint64_t membership_epoch() const { return membership_.epoch(); }
 
   /// Currently active member ids, sorted ascending.
-  std::vector<NodeId> active_members() const;
+  std::vector<NodeId> active_members() const { return membership_.members(); }
 
   /// Whether `node` is in the active set.
-  bool is_member(NodeId node) const;
+  bool is_member(NodeId node) const { return membership_.contains(node); }
 
-  /// Activates `node` (two-phase join, activation side): adds it to the
-  /// active set and the ring, bumps the membership epoch, clears any stale
-  /// table state, and — in partitioned mode — opens the dual-read window
-  /// and forwards the remapped slice (directory records this node owns that
-  /// now map to `node`, plus re-announcing own entries whose owner moved).
-  /// Idempotent: a no-op (zero stats, no epoch bump) if already active.
-  HandoffStats member_joined(NodeId node);
+  /// Activates `node` (two-phase join, activation side; see
+  /// Membership::transition) and clears any stale table state. With a ring,
+  /// forwards the remapped slice: own entries whose owner moved, and the
+  /// partition records this node kept that `node` now owns. Idempotent: a
+  /// no-op (zero stats, no epoch bump) if already active.
+  HandoffStats member_joined(NodeId node) {
+    return apply_transition(node, true);
+  }
 
   /// Deactivates `node` (graceful decommission observed, or operator
-  /// removal): removes it from the active set and the ring, bumps the
-  /// epoch, clears its table *without* quarantining (the leaver handed its
-  /// state off; quarantine is for the unplanned-death path), opens the
-  /// dual-read window, and re-announces own entries whose owner moved.
-  /// Idempotent. Self-removal is rejected (use begin_decommission).
-  HandoffStats member_left(NodeId node);
+  /// removal) and clears its table *without* quarantining (the leaver
+  /// handed its state off; quarantine is for the unplanned-death path).
+  /// With a ring, re-announces own entries whose owner moved. Idempotent.
+  /// Self-removal is rejected (use begin_decommission).
+  HandoffStats member_left(NodeId node) {
+    return node == self_ ? HandoffStats{} : apply_transition(node, false);
+  }
 
-  /// Joiner side of kJoinAck: adopt the responder's membership view.
-  /// Rebuilds the active set (self is always retained) and — in partitioned
-  /// mode — the ring, with a dual-read window over the change; the epoch
-  /// advances to at least `epoch`.
+  /// Joiner side of kJoinAck: adopt the responder's membership view
+  /// (Membership::adopt) and announce the resident store to it.
   void adopt_membership(std::uint64_t epoch,
                         const std::vector<NodeId>& members);
 
@@ -501,10 +509,11 @@ class CacheManager {
   /// mode, forward this node's directory partition to its new owners.
   HandoffStats handoff_state(std::uint64_t batch_bytes);
 
-  /// The node that takes over `key` once this node leaves: the ring owner
-  /// with self removed (partitioned), or a key-hash pick among the other
-  /// active members (replicated/query). Self when no other member exists.
-  NodeId successor_for(const std::string& key) const;
+  /// The node that takes over `key` once this node leaves (self when no
+  /// other member exists; see Membership::successor_of).
+  NodeId successor_for(const std::string& key) const {
+    return membership_.successor_of(key);
+  }
 
   /// Receiving side of the handoff channel: adopt a shipped entry into the
   /// local store (one commit section: insert + directory + announce).
@@ -514,11 +523,13 @@ class CacheManager {
 
   /// Closes the dual-read window (lookups stop probing the old owner).
   /// The next transition reopens it over the latest change.
-  void finish_ring_transition();
-  bool ring_transition_active() const;
+  void finish_ring_transition() { membership_.finish_transition(); }
+  bool ring_transition_active() const {
+    return membership_.transition_active();
+  }
 
   /// Current ring transition counter (HashRing::version).
-  std::uint64_t ring_version() const;
+  std::uint64_t ring_version() const { return membership_.ring_version(); }
 
   // ---- Peer failure handling (cluster circuit breaker) ----
 
@@ -572,10 +583,11 @@ class CacheManager {
   NodeId self() const { return self_; }
   DirectoryMode directory_mode() const { return options_.directory_mode; }
 
-  /// The node owning `key`'s directory entry on the consistent-hash ring.
-  /// Outside partitioned mode (or on an empty ring) this is `self`, so
-  /// callers can treat "owner == self" uniformly as "no remote owner".
-  NodeId ring_owner_of(const std::string& key) const;
+  /// The node owning `key`'s directory entry on the consistent-hash ring;
+  /// `self` outside partitioned mode (see Membership::owner_of).
+  NodeId ring_owner_of(const std::string& key) const {
+    return membership_.owner_of(key);
+  }
 
   /// Cross-verifies the store's key set against the directory self-table
   /// under the commit mutex, so the answer is exact (no commit can be half
@@ -615,39 +627,75 @@ class CacheManager {
   LookupResult lookup_impl(http::Method method, const http::Uri& uri,
                            const Deadline* deadline);
 
-  /// Partitioned-mode probe of one candidate directory owner (current or
-  /// pre-transition). True when the lookup was satisfied (`out` is a hit).
-  bool probe_dir_owner(LookupResult* out, NodeId owner_node,
-                       const std::string& key, const Deadline* deadline);
+  /// Where the records of cached entries live and how a miss finds them:
+  /// one implementation per DirectoryMode (placement.cc), picked once at
+  /// construction. The defaults keep every record at home, probe nobody.
+  class Placement {
+   public:
+    explicit Placement(CacheManager* manager) : m_(*manager) {}
+    virtual ~Placement() = default;
+    static std::unique_ptr<Placement> make(DirectoryMode mode,
+                                           CacheManager* manager);
+    class Replicated;
+    class Partitioned;
+    class Query;
 
-  /// `key`'s owner under the pre-transition ring, or the current owner when
-  /// no dual-read window is open (so prev != current ⇔ dual read needed).
-  NodeId prev_ring_owner_of(const std::string& key) const;
+    /// Whether records sit on the consistent-hash ring (Membership keeps
+    /// one) and travel as kOwnerUpdate unicasts to the key's owner.
+    virtual bool uses_ring() const { return false; }
+    /// Sends a local insert/erase to the nodes that keep its record.
+    virtual void announce_insert(const EntryMeta&) {}
+    virtual bool announce_erase(const std::string&, std::uint64_t) {
+      return false;
+    }
+    /// The miss probe, run when no local table knows `key`; true on a hit.
+    virtual bool probe(LookupResult*, const std::string&, const Deadline*) {
+      return false;
+    }
+    /// Bodies of CacheManager::answer_query and holds_record.
+    virtual std::optional<EntryMeta> answer_query(const std::string& key) const;
+    virtual bool holds_record(NodeId, const std::string&) const {
+      return false;
+    }
 
-  /// After a ring change old→new: forward the remapped slice — own store
-  /// entries whose directory owner moved (re-announce to the new owner) and
-  /// directory partition records this node owned that now belong elsewhere.
-  HandoffStats reannounce_remapped(const HashRing& old_ring,
-                                   const HashRing& new_ring);
-
-  /// Who to tell about a stale directory record discovered via a false hit.
-  enum class FalseHitSource {
-    kLocalTable,  ///< replicated: erase from our own peer table
-    kRingOwner,   ///< partitioned: also unicast the erase to the ring owner
-    kProbe,       ///< query: no durable record exists anywhere — do nothing
+   protected:
+    CacheManager& m_;
   };
 
-  /// Fetches `meta` from its caching node and fills `out` on success.
-  /// Handles the false-hit (kNotFound) bookkeeping per `source` and counts
-  /// fallback_executions on transport failure. Returns true on a hit.
-  bool fetch_hit_from(LookupResult* out, const EntryMeta& meta,
-                      const Deadline* deadline, FalseHitSource source);
+  /// Shared body of member_joined (`join`) and member_left.
+  HandoffStats apply_transition(NodeId node, bool join);
 
-  /// Mode-aware announcement of a local insert/erase: broadcast in
-  /// replicated mode, unicast to the ring owner in partitioned mode, silent
-  /// in query mode. announce_erase returns whether anything was sent.
-  void announce_insert(const EntryMeta& meta);
-  bool announce_erase(const std::string& key, std::uint64_t version);
+  /// Re-homes the records this node keeps for other caches (its partition
+  /// on `before`) whose owner on `after`, once `leaving` is gone, is another
+  /// node. Returns how many records were forwarded.
+  std::size_t forward_partition(const HashRing& before, const HashRing& after,
+                                NodeId leaving = kInvalidNode);
+
+  /// Xor digest of table[`table`]'s (key, version) pairs that
+  /// holds_record(`keeper`, key) selects.
+  std::uint64_t digest_of(NodeId table, NodeId keeper,
+                          std::size_t* entries) const;
+
+  /// What fetching an advertised copy came to.
+  enum class Fetch { kHit, kFalseHit, kFailed };
+
+  /// Fetches `meta` from its caching node and fills `out` on a hit. A false
+  /// hit (kNotFound: gone at the owner) is counted and left to the caller
+  /// to clean up; any other failure counts a fallback_execution.
+  Fetch fetch_hit_from(LookupResult* out, const EntryMeta& meta,
+                       const Deadline* deadline);
+
+  /// Announces a local insert/erase through the placement. A node outside
+  /// its own view serves stand-alone, with no directory chatter, until the
+  /// join protocol admits it (adopt_membership then announces the resident
+  /// store). announce_erase returns whether anything was sent.
+  void announce_insert(const EntryMeta& meta) {
+    if (bus_ != nullptr && is_member(self_)) placement_->announce_insert(meta);
+  }
+  bool announce_erase(const std::string& key, std::uint64_t version) {
+    return bus_ != nullptr && is_member(self_) &&
+           placement_->announce_erase(key, version);
+  }
 
   /// Single-flight entry point for a miss: leader registration or waiting.
   LookupResult finish_miss(LookupResult out, const std::string& key,
@@ -681,6 +729,13 @@ class CacheManager {
   std::size_t apply_invalidation(const std::string& pattern, bool rebroadcast,
                                  NodeId origin, std::uint64_t epoch);
 
+  /// Inside a commit section: inserts into the store, then publishes the
+  /// entry and its eviction victims to the directory and the peers. False
+  /// when the store rejected the insert.
+  bool commit_insert(const CacheKey& key, std::string_view body,
+                     double cost_seconds, double ttl_seconds,
+                     const std::string& content_type, int http_status);
+
   /// Degradation bookkeeping around one store insert outcome. Returns true
   /// when the insert should not even be attempted (degraded, not a probe).
   bool degraded_should_skip();
@@ -698,19 +753,8 @@ class CacheManager {
 
   std::unique_ptr<CacheStore> store_;
   std::unique_ptr<CacheDirectory> directory_;
-  /// Key → directory-owner placement (partitioned mode; empty otherwise).
-  /// Guarded by membership_mutex_ since PR10 (the ring resizes at runtime).
-  HashRing ring_;
-  // ---- dynamic membership state (guarded by membership_mutex_) ----
-  /// Shared (not the commit mutex): ring_owner_of sits on the lookup hot
-  /// path; transitions are rare and take the writer side. Lock order:
-  /// commit_mutex_ → membership_mutex_ (announce_* under a commit section
-  /// read the ring); transitions themselves never hold commit_mutex_.
-  mutable std::shared_mutex membership_mutex_;
-  /// Pre-transition ring while a dual-read window is open.
-  std::optional<HashRing> prev_ring_;
-  std::vector<NodeId> members_;  ///< sorted active set (all modes)
-  std::atomic<std::uint64_t> membership_epoch_{0};
+  std::unique_ptr<Placement> placement_;
+  Membership membership_;
   std::atomic<bool> decommissioning_{false};
   /// Epoch-stamped invalidation replay log (anti-entropy repair). Its own
   /// mutex; epoch assignment/admission happens inside the commit section so

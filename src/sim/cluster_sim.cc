@@ -267,8 +267,7 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
       core::ManagerOptions mo;
       mo.limits = config.limits;
       mo.policy = config.policy;
-      mo.directory_mode = config.cooperative ? config.directory_mode
-                                             : core::DirectoryMode::kReplicated;
+      mo.directory_mode = config.directory_mode;  // moot without a bus
       mo.ring_seed = config.ring_seed;
       mo.ring_vnodes = config.ring_vnodes;
       mo.initial_members = initial_members;

@@ -65,9 +65,9 @@ struct SimConfig {
   core::PolicyKind policy = core::PolicyKind::kLru;
   double min_exec_seconds = 0.0;  ///< insert threshold
   double ttl_seconds = 0.0;       ///< 0 = never expire
-  /// Directory cooperation scheme (cooperative mode only); the head-to-head
-  /// knob for bench/ablation_directory_modes.
-  core::DirectoryMode directory_mode = core::DirectoryMode::kReplicated;
+  /// Directory cooperation scheme (cooperative mode only; default
+  /// replicated); the head-to-head knob for bench/ablation_directory_modes.
+  core::DirectoryMode directory_mode{};
   std::uint64_t ring_seed = HashRing::kDefaultSeed;  ///< partitioned placement
   std::size_t ring_vnodes = HashRing::kDefaultVnodes;
   SimCosts costs;

@@ -91,12 +91,11 @@ class SimBus final : public core::CooperationBus {
   /// (0 = lost, 2 = duplicated); kDelay adds its latency to `*delay`.
   int deliveries(core::NodeId peer, cluster::MsgType type, double* delay);
 
-  /// Re-announces this node's resident entries to `to`, as
-  /// NodeGroup::push_state_to answers a kSyncReq or seeds a joiner: every
-  /// entry in replicated mode, only the entries `to` owns in partitioned
-  /// mode, nothing in query mode. Counted as resync traffic and not
+  /// Re-announces to `to` the resident entries it keeps a record of
+  /// (CacheManager::resync_for), as NodeGroup::push_state_to answers a
+  /// kSyncReq or seeds a joiner. Counted as resync traffic and not
   /// fault-injected.
-  void push_state_to(core::NodeId to);
+  void push_state_to(core::NodeId to, bool joining = false);
 
   void broadcast_insert(const core::EntryMeta& meta) override;
   void broadcast_erase(core::NodeId owner, const std::string& key,

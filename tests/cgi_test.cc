@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <dirent.h>
 #include <fcntl.h>
 #include <set>
@@ -316,6 +317,118 @@ TEST(ProcessCgiTest, TimeoutFlagSetAndNotConfusedWithOversize) {
   EXPECT_TRUE(result.value().timed_out);
   EXPECT_FALSE(result.value().oversized);
   unlink(script.c_str());
+}
+
+/// Processes of group `pgid` that have not exited (zombies awaiting their
+/// reaper count as gone), read from /proc.
+int live_in_group(pid_t pgid) {
+  int live = 0;
+  DIR* proc = opendir("/proc");
+  if (proc == nullptr) return -1;
+  while (const dirent* e = readdir(proc)) {
+    if (e->d_name[0] < '0' || e->d_name[0] > '9') continue;
+    FILE* f = fopen((std::string("/proc/") + e->d_name + "/stat").c_str(), "r");
+    if (f == nullptr) continue;  // exited while we looked
+    char line[1024] = {0};
+    const bool ok = fgets(line, sizeof(line), f) != nullptr;
+    fclose(f);
+    const char* rparen = ok ? strrchr(line, ')') : nullptr;
+    char state = 0;
+    int ppid = 0;
+    int pgrp = 0;
+    if (rparen != nullptr &&
+        sscanf(rparen + 1, " %c %d %d", &state, &ppid, &pgrp) == 3 &&
+        pgrp == pgid && state != 'Z') {
+      ++live;
+    }
+  }
+  closedir(proc);
+  return live;
+}
+
+/// Writes a script that records its pid (its process group id) in
+/// `pid_file`, then waits on a `sleep` child of its own.
+void write_forking_sleeper(const std::string& script,
+                           const std::string& pid_file) {
+  FILE* f = fopen(script.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fprintf(f, "#!/bin/sh\necho $$ > %s\nsleep 30\n", pid_file.c_str());
+  fclose(f);
+  chmod(script.c_str(), 0755);
+}
+
+pid_t read_pid(const std::string& pid_file) {
+  FILE* f = fopen(pid_file.c_str(), "r");
+  if (f == nullptr) return -1;
+  int pid = -1;
+  if (fscanf(f, "%d", &pid) != 1) pid = -1;
+  fclose(f);
+  return pid;
+}
+
+TEST(ProcessCgiTest, TimeoutKillsTheWholeProcessGroup) {
+  const std::string script = "/tmp/swala_test_cgi_group.sh";
+  const std::string pid_file = "/tmp/swala_test_cgi_group.pid";
+  unlink(pid_file.c_str());
+  write_forking_sleeper(script, pid_file);
+  ProcessOptions opts;
+  opts.timeout_seconds = 0.3;
+  const auto start = std::chrono::steady_clock::now();
+  auto result = run_cgi_process(script, make_request("/cgi-bin/group"), opts);
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_TRUE(result.value().timed_out);
+  // The script's own `sleep 30` held the output pipe open until it was
+  // killed with its parent; the run ends at the deadline.
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 2.0);
+  const pid_t pgid = read_pid(pid_file);
+  ASSERT_GT(pgid, 0);
+  int live = live_in_group(pgid);
+  for (int i = 0; i < 200 && live != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    live = live_in_group(pgid);
+  }
+  EXPECT_EQ(live, 0) << "process group " << pgid << " outlived its deadline";
+  unlink(script.c_str());
+  unlink(pid_file.c_str());
+}
+
+TEST(ProcessCgiTest, KillLiveProcessGroupsEndsRunningCgi) {
+  const std::string script = "/tmp/swala_test_cgi_stop.sh";
+  const std::string pid_file = "/tmp/swala_test_cgi_stop.pid";
+  unlink(pid_file.c_str());
+  write_forking_sleeper(script, pid_file);
+  ProcessOptions opts;
+  opts.timeout_seconds = 20.0;
+  const auto start = std::chrono::steady_clock::now();
+  Result<ProcessResult> result = Status(StatusCode::kInternal, "not run");
+  std::thread runner([&] {
+    result = run_cgi_process(script, make_request("/cgi-bin/stop"), opts);
+  });
+  pid_t pgid = -1;
+  for (int i = 0; i < 500 && pgid <= 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    pgid = read_pid(pid_file);
+  }
+  // The stop path: every CGI group still running is killed.
+  EXPECT_GE(kill_live_process_groups(), 1u);
+  runner.join();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 10.0);
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_FALSE(result.value().timed_out);
+  EXPECT_EQ(result.value().exit_code, -1);  // killed by a signal
+  ASSERT_GT(pgid, 0);
+  int live = live_in_group(pgid);
+  for (int i = 0; i < 200 && live != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    live = live_in_group(pgid);
+  }
+  EXPECT_EQ(live, 0);
+  unlink(script.c_str());
+  unlink(pid_file.c_str());
 }
 
 TEST(ProcessCgiTest, OversizedOutputKilledAndFails) {
